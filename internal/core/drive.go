@@ -155,9 +155,7 @@ type ParallelDrive struct {
 	model disk.Model
 	cfg   Config
 	eng   simkit.Scheduler
-	geo   *geom.Geometry
-	curve *mech.SeekCurve
-	rot   *mech.Rotation
+	k     mech.Kernel
 	buf   *cache.Cache
 	queue *sched.Queue[pending]
 	acct  *power.Accountant
@@ -183,8 +181,6 @@ type ParallelDrive struct {
 	completed   uint64
 	bgCompleted uint64
 	cacheHits   uint64
-	seekScale   float64
-	rotScale    float64
 
 	// Observability: the emitter (nil when tracing is off), the metrics
 	// registry, and hot-path handles into it. qDepth tracks the
@@ -212,20 +208,8 @@ func New(eng simkit.Scheduler, model disk.Model, cfg Config) (*ParallelDrive, er
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	geo, err := geom.New(model.Geom)
-	if err != nil {
-		return nil, err
-	}
-	curve, err := mech.NewSeekCurve(mech.SeekSpec{
-		SingleCylMs:  model.SingleCylMs,
-		AvgMs:        model.AvgSeekMs,
-		FullStrokeMs: model.FullStrokeMs,
-		MaxCyl:       model.Geom.Cylinders - 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rot, err := mech.NewRotation(model.RPM)
+	k, err := model.Kernel(model.RPM, device.NormalizeScale(cfg.SeekScale),
+		device.NormalizeScale(cfg.RotScale))
 	if err != nil {
 		return nil, err
 	}
@@ -249,20 +233,16 @@ func New(eng simkit.Scheduler, model disk.Model, cfg Config) (*ParallelDrive, er
 	name := cfg.Obs.Label(model.Name)
 	reg := obs.NewRegistry()
 	d := &ParallelDrive{
-		model:     model,
-		cfg:       cfg,
-		eng:       eng,
-		geo:       geo,
-		curve:     curve,
-		rot:       rot,
-		buf:       buf,
-		queue:     sched.NewQueueSized[pending](scfg, 256),
-		bgQueue:   sched.NewQueueSized[pending](scfg, 256),
-		acct:      power.NewAccountant(pm),
-		pm:        pm,
-		arms:      make([]arm, cfg.Actuators),
-		seekScale: device.NormalizeScale(cfg.SeekScale),
-		rotScale:  device.NormalizeScale(cfg.RotScale),
+		model:   model,
+		cfg:     cfg,
+		eng:     eng,
+		k:       k,
+		buf:     buf,
+		queue:   sched.NewQueueSized[pending](scfg, 256),
+		bgQueue: sched.NewQueueSized[pending](scfg, 256),
+		acct:    power.NewAccountant(pm),
+		pm:      pm,
+		arms:    make([]arm, cfg.Actuators),
 
 		name:     name,
 		em:       simkit.Emitter(eng, cfg.Obs.Sink, name),
@@ -314,7 +294,7 @@ func (d *ParallelDrive) Taxonomy() DASH {
 func (d *ParallelDrive) Model() disk.Model { return d.model }
 
 // Capacity reports the drive's size in sectors.
-func (d *ParallelDrive) Capacity() int64 { return d.geo.TotalSectors() }
+func (d *ParallelDrive) Capacity() int64 { return d.k.Geo.TotalSectors() }
 
 // Actuators reports the configured arm-assembly count.
 func (d *ParallelDrive) Actuators() int { return d.cfg.Actuators }
@@ -416,7 +396,7 @@ func (d *ParallelDrive) SubmitBackground(r trace.Request, done device.Done) {
 		})
 		return
 	}
-	d.bgQueue.Push(pending{req: r, done: done, loc: d.geo.Locate(r.LBA), background: true,
+	d.bgQueue.Push(pending{req: r, done: done, loc: d.k.Geo.Locate(r.LBA), background: true,
 		obsReq: req, submitMs: now}, now)
 	d.gBgDepth.Set(float64(d.bgQueue.Len()))
 	d.trySchedule()
@@ -451,7 +431,7 @@ func (d *ParallelDrive) Submit(r trace.Request, done device.Done) {
 		})
 		return
 	}
-	d.queue.Push(pending{req: r, done: done, loc: d.geo.Locate(r.LBA),
+	d.queue.Push(pending{req: r, done: done, loc: d.k.Geo.Locate(r.LBA),
 		obsReq: req, submitMs: now}, now)
 	d.qDepth.Set(float64(d.queue.Len()))
 	d.trySchedule()
@@ -471,19 +451,23 @@ func (d *ParallelDrive) armTarget(armIdx, head int, loc geom.Loc) float64 {
 }
 
 // posCost is the positioning time (seek + rotational latency) for the
-// given arm to begin service at loc at time now. With multiple heads per
-// arm, the wait ends when the sector reaches the nearest head.
+// given arm to begin service at loc at time now.
 func (d *ParallelDrive) posCost(armIdx int, loc geom.Loc, now float64) (seekMs, rotMs float64) {
-	seekMs = d.curve.Time(d.arms[armIdx].cyl-loc.Cyl) * d.seekScale
-	atTrack := now + d.model.ControllerOverheadMs + seekMs
-	rotMs = d.rot.LatencyTo(d.armTarget(armIdx, 0, loc), atTrack)
+	seekMs, atTrack := d.k.Seek(d.arms[armIdx].cyl, loc.Cyl, now)
+	return seekMs, d.rotWait(armIdx, loc, atTrack)
+}
+
+// rotWait is the rotational latency, from time at, until loc's sector
+// reaches the given arm. With multiple heads per arm, the wait ends
+// when the sector reaches the nearest head.
+func (d *ParallelDrive) rotWait(armIdx int, loc geom.Loc, at float64) float64 {
+	rotMs := d.k.RotLatency(d.armTarget(armIdx, 0, loc), at)
 	for h := 1; h < d.cfg.headsPerArm(); h++ {
-		if r := d.rot.LatencyTo(d.armTarget(armIdx, h, loc), atTrack); r < rotMs {
+		if r := d.k.RotLatency(d.armTarget(armIdx, h, loc), at); r < rotMs {
 			rotMs = r
 		}
 	}
-	rotMs *= d.rotScale
-	return seekMs, rotMs
+	return rotMs
 }
 
 // bestArmFor reports the idle arm with the lowest positioning cost for
@@ -501,27 +485,6 @@ func (d *ParallelDrive) bestArmFor(loc geom.Loc, now float64) (armIdx int, cost 
 		}
 	}
 	return armIdx, cost
-}
-
-// transferTime walks the request across tracks, as disk.Drive does.
-func (d *ParallelDrive) transferTime(lba int64, sectors int) float64 {
-	t := 0.0
-	cur := lba
-	remaining := sectors
-	for remaining > 0 {
-		l := d.geo.Locate(cur)
-		onTrack := l.SPT - l.Sector
-		if onTrack > remaining {
-			onTrack = remaining
-		}
-		t += d.rot.TransferTime(onTrack, l.SPT)
-		remaining -= onTrack
-		cur += int64(onTrack)
-		if remaining > 0 {
-			t += d.model.TrackSwitchMs
-		}
-	}
-	return t
 }
 
 // trySchedule starts as many services as free channels allow, then (in
@@ -554,13 +517,7 @@ func (d *ParallelDrive) dispatchOne() bool {
 		if rem < 0 {
 			rem = 0
 		}
-		rot := d.rot.LatencyTo(d.armTarget(i, 0, a.assigned.loc), now+rem)
-		for h := 1; h < d.cfg.headsPerArm(); h++ {
-			if r := d.rot.LatencyTo(d.armTarget(i, h, a.assigned.loc), now+rem); r < rot {
-				rot = r
-			}
-		}
-		rot *= d.rotScale
+		rot := d.rotWait(i, a.assigned.loc, now+rem)
 		if c := rem + rot; bestAssigned == -1 || c < bestAssignedCost {
 			bestAssigned, bestAssignedCost = i, c
 		}
@@ -642,19 +599,13 @@ func (d *ParallelDrive) startService(armIdx int, p pending, preSeeked bool, remS
 	if preSeeked {
 		// Seek was overlapped; pay the residual plus rotation from there.
 		seekMs = remSeek
-		rotMs = d.rot.LatencyTo(d.armTarget(armIdx, 0, p.loc), now+remSeek)
-		for h := 1; h < d.cfg.headsPerArm(); h++ {
-			if r := d.rot.LatencyTo(d.armTarget(armIdx, h, p.loc), now+remSeek); r < rotMs {
-				rotMs = r
-			}
-		}
-		rotMs *= d.rotScale
+		rotMs = d.rotWait(armIdx, p.loc, now+remSeek)
 		overhead = 0 // command overhead was paid at assignment time
 	} else {
 		seekMs, rotMs = d.posCost(armIdx, p.loc, now)
 		overhead = d.model.ControllerOverheadMs
 	}
-	xferMs := d.transferTime(p.req.LBA, p.req.Sectors)
+	xferMs := d.k.TransferMs(p.req.LBA, p.req.Sectors)
 	serviceEnd := now + overhead + seekMs + rotMs + xferMs
 
 	d.hSeek.Observe(seekMs)
@@ -726,7 +677,7 @@ func (d *ParallelDrive) returnIdleArms(servicedArm, cyl int) {
 		if target >= d.model.Geom.Cylinders {
 			target = d.model.Geom.Cylinders - 1
 		}
-		seekMs := d.curve.Time(a.cyl-target) * d.seekScale
+		seekMs, _ := d.k.Seek(a.cyl, target, d.eng.Now())
 		a.busy = true
 		d.acct.AddSeekIncrement(seekMs)
 		d.eng.After(seekMs, func() {

@@ -74,9 +74,7 @@ type pending struct {
 type Drive struct {
 	model  Model
 	eng    simkit.Scheduler
-	geo    *geom.Geometry
-	curve  *mech.SeekCurve
-	rot    *mech.Rotation
+	k      mech.Kernel
 	buf    *cache.Cache
 	queue  *sched.Queue[pending]
 	flushQ *sched.Queue[pending] // write-back destage queue
@@ -96,8 +94,6 @@ type Drive struct {
 	submitted uint64
 	completed uint64
 	cacheHits uint64
-	seekScale float64
-	rotScale  float64
 
 	// Observability: the emitter (nil when tracing is off), the metrics
 	// registry, and hot-path handles into it. qDepth tracks the
@@ -122,15 +118,8 @@ func New(eng simkit.Scheduler, model Model, opts Options) (*Drive, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	geo, err := geom.New(model.Geom)
-	if err != nil {
-		return nil, err
-	}
-	curve, err := mech.NewSeekCurve(model.seekSpec())
-	if err != nil {
-		return nil, err
-	}
-	rot, err := mech.NewRotation(model.RPM)
+	k, err := model.Kernel(model.RPM, device.NormalizeScale(opts.SeekScale),
+		device.NormalizeScale(opts.RotScale))
 	if err != nil {
 		return nil, err
 	}
@@ -149,19 +138,15 @@ func New(eng simkit.Scheduler, model Model, opts Options) (*Drive, error) {
 	name := opts.Obs.Label(model.Name)
 	reg := obs.NewRegistry()
 	d := &Drive{
-		model:     model,
-		eng:       eng,
-		geo:       geo,
-		curve:     curve,
-		rot:       rot,
-		buf:       buf,
-		queue:     sched.NewQueueSized[pending](cfg, 256),
-		flushQ:    sched.NewQueueSized[pending](cfg, 256),
-		acct:      power.NewAccountant(pm),
-		pm:        pm,
-		opts:      opts,
-		seekScale: device.NormalizeScale(opts.SeekScale),
-		rotScale:  device.NormalizeScale(opts.RotScale),
+		model:  model,
+		eng:    eng,
+		k:      k,
+		buf:    buf,
+		queue:  sched.NewQueueSized[pending](cfg, 256),
+		flushQ: sched.NewQueueSized[pending](cfg, 256),
+		acct:   power.NewAccountant(pm),
+		pm:     pm,
+		opts:   opts,
 
 		name:        name,
 		em:          simkit.Emitter(eng, opts.Obs.Sink, name),
@@ -181,7 +166,7 @@ func New(eng simkit.Scheduler, model Model, opts Options) (*Drive, error) {
 func (d *Drive) Model() Model { return d.model }
 
 // Geometry returns the drive's derived geometry.
-func (d *Drive) Geometry() *geom.Geometry { return d.geo }
+func (d *Drive) Geometry() *geom.Geometry { return d.k.Geo }
 
 // Capacity reports the drive's addressable size in sectors (excluding
 // the spare pool when a defect table is configured).
@@ -189,7 +174,7 @@ func (d *Drive) Capacity() int64 {
 	if d.opts.Defects != nil {
 		return d.opts.Defects.UserSectors()
 	}
-	return d.geo.TotalSectors()
+	return d.k.Geo.TotalSectors()
 }
 
 // DefectHops reports how many requests needed extra extents because of
@@ -276,7 +261,7 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 			for _, e := range exts {
 				sub := pending{
 					req:      trace.Request{LBA: e.LBA, Sectors: e.Sectors, Read: r.Read},
-					loc:      d.geo.Locate(e.LBA),
+					loc:      d.k.Geo.Locate(e.LBA),
 					fragment: true,
 					obsReq:   req,
 					submitMs: now,
@@ -311,47 +296,14 @@ func (d *Drive) Submit(r trace.Request, done device.Done) {
 				done(d.eng.Now())
 			}
 		})
-		d.flushQ.Push(pending{req: r, loc: d.geo.Locate(r.LBA), flush: true, submitMs: now}, now)
+		d.flushQ.Push(pending{req: r, loc: d.k.Geo.Locate(r.LBA), flush: true, submitMs: now}, now)
 		d.gDirty.Set(float64(d.flushQ.Len()))
 		d.trySchedule()
 		return
 	}
-	d.queue.Push(pending{req: r, done: done, loc: d.geo.Locate(r.LBA), obsReq: req, submitMs: now}, now)
+	d.queue.Push(pending{req: r, done: done, loc: d.k.Geo.Locate(r.LBA), obsReq: req, submitMs: now}, now)
 	d.qDepth.Set(float64(d.queue.Len()))
 	d.trySchedule()
-}
-
-// positioning computes the mechanical positioning cost of starting
-// service at the given location at time `at` from the current arm
-// position.
-func (d *Drive) positioning(loc geom.Loc, at float64) (seekMs, rotMs float64) {
-	dist := d.armCyl - loc.Cyl
-	seekMs = d.curve.Time(dist) * d.seekScale
-	atTrack := at + d.model.ControllerOverheadMs + seekMs
-	rotMs = d.rot.LatencyTo(loc.Angle, atTrack) * d.rotScale
-	return seekMs, rotMs
-}
-
-// transferTime walks the request across tracks and zones, accumulating
-// media transfer time plus track-switch overheads.
-func (d *Drive) transferTime(lba int64, sectors int) float64 {
-	t := 0.0
-	cur := lba
-	remaining := sectors
-	for remaining > 0 {
-		l := d.geo.Locate(cur)
-		onTrack := l.SPT - l.Sector
-		if onTrack > remaining {
-			onTrack = remaining
-		}
-		t += d.rot.TransferTime(onTrack, l.SPT)
-		remaining -= onTrack
-		cur += int64(onTrack)
-		if remaining > 0 {
-			t += d.model.TrackSwitchMs
-		}
-	}
-	return t
 }
 
 // trySchedule dispatches the next queued request if the drive is free.
@@ -372,8 +324,8 @@ func (d *Drive) trySchedule() {
 		d.gDirty.Set(float64(d.flushQ.Len()))
 	}
 	d.busy = true
-	seekMs, rotMs := d.positioning(p.loc, now)
-	xferMs := d.transferTime(p.req.LBA, p.req.Sectors)
+	seekMs, rotMs := d.k.Position(d.armCyl, p.loc, now)
+	xferMs := d.k.TransferMs(p.req.LBA, p.req.Sectors)
 	serviceEnd := now + d.model.ControllerOverheadMs + seekMs + rotMs + xferMs
 
 	d.acct.AddSeek(seekMs, 1)
@@ -437,7 +389,7 @@ func (d *Drive) buildCostFn() func(pending) float64 {
 	case sched.CLOOK:
 		// Circular elevator: requests at or above the arm are served in
 		// ascending order; requests below it sort after a full wrap.
-		span := float64(d.geo.Cylinders())
+		span := float64(d.k.Geo.Cylinders())
 		return func(p pending) float64 {
 			delta := float64(p.loc.Cyl - d.armCyl)
 			if delta < 0 {
@@ -447,7 +399,7 @@ func (d *Drive) buildCostFn() func(pending) float64 {
 		}
 	default: // SPTF
 		return func(p pending) float64 {
-			seekMs, rotMs := d.positioning(p.loc, d.costNow)
+			seekMs, rotMs := d.k.Position(d.armCyl, p.loc, d.costNow)
 			return seekMs + rotMs
 		}
 	}

@@ -433,8 +433,8 @@ func TestLowerRPMSlowsService(t *testing.T) {
 func TestTransferTimeProportionalToSize(t *testing.T) {
 	eng, d := newDrive(t, smallModel(), Options{})
 	_ = eng
-	small := d.transferTime(0, 30)
-	large := d.transferTime(0, 300) // spans tracks
+	small := d.k.TransferMs(0, 30)
+	large := d.k.TransferMs(0, 300) // spans tracks
 	if large <= small {
 		t.Fatalf("transfer time not increasing with size")
 	}

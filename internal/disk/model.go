@@ -70,6 +70,34 @@ func (m Model) seekSpec() mech.SeekSpec {
 	}
 }
 
+// Kernel builds the service-time kernel of a drive built from this
+// model with its spindle at rpm (the model's own RPM for a fixed-speed
+// drive). seekScale and rotScale multiply every seek time and
+// rotational latency; 1 leaves them unscaled.
+func (m Model) Kernel(rpm, seekScale, rotScale float64) (mech.Kernel, error) {
+	geo, err := geom.New(m.Geom)
+	if err != nil {
+		return mech.Kernel{}, err
+	}
+	curve, err := mech.NewSeekCurve(m.seekSpec())
+	if err != nil {
+		return mech.Kernel{}, err
+	}
+	rot, err := mech.NewRotation(rpm)
+	if err != nil {
+		return mech.Kernel{}, err
+	}
+	return mech.Kernel{
+		Geo:                  geo,
+		Curve:                curve,
+		Rot:                  rot,
+		ControllerOverheadMs: m.ControllerOverheadMs,
+		TrackSwitchMs:        m.TrackSwitchMs,
+		SeekScale:            seekScale,
+		RotScale:             rotScale,
+	}, nil
+}
+
 func (m Model) cacheConfig() cache.Config {
 	return cache.Config{
 		SizeBytes:        m.CacheBytes,

@@ -94,9 +94,8 @@ type Drive struct {
 	cfg   Config
 	eng   simkit.Scheduler
 	geo   *geom.Geometry
-	curve *mech.SeekCurve
-	rots  []*mech.Rotation // one per level
-	pms   []*power.Model   // one per level
+	ks    []mech.Kernel  // one per level: the level's spindle speed
+	pms   []*power.Model // one per level
 	buf   *cache.Cache
 	queue *sched.Queue[pending]
 	acct  *power.Accountant // accounted against the FULL-speed model
@@ -126,19 +125,6 @@ func New(eng simkit.Scheduler, model disk.Model, cfg Config) (*Drive, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	geo, err := geom.New(model.Geom)
-	if err != nil {
-		return nil, err
-	}
-	curve, err := mech.NewSeekCurve(mech.SeekSpec{
-		SingleCylMs:  model.SingleCylMs,
-		AvgMs:        model.AvgSeekMs,
-		FullStrokeMs: model.FullStrokeMs,
-		MaxCyl:       model.Geom.Cylinders - 1,
-	})
-	if err != nil {
-		return nil, err
-	}
 	buf, err := cache.New(cache.Config{
 		SizeBytes:        model.CacheBytes,
 		SectorBytes:      model.Geom.SectorBytes,
@@ -152,14 +138,12 @@ func New(eng simkit.Scheduler, model disk.Model, cfg Config) (*Drive, error) {
 		model:   model,
 		cfg:     cfg,
 		eng:     eng,
-		geo:     geo,
-		curve:   curve,
 		buf:     buf,
 		queue:   sched.NewQueue[pending](disk.DefaultSchedConfig()),
 		levelMs: make([]float64, len(cfg.Levels)),
 	}
 	for _, rpm := range cfg.Levels {
-		rot, err := mech.NewRotation(rpm)
+		k, err := model.Kernel(rpm, 1, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -172,9 +156,10 @@ func New(eng simkit.Scheduler, model disk.Model, cfg Config) (*Drive, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.rots = append(d.rots, rot)
+		d.ks = append(d.ks, k)
 		d.pms = append(d.pms, pm)
 	}
+	d.geo = d.ks[0].Geo
 	// Energy is integrated against the current level's model by hand in
 	// noteLevelTime; the accountant tracks busy-mode energy at full speed
 	// as an approximation for seek/transfer increments.
@@ -331,25 +316,23 @@ func (d *Drive) trySchedule() {
 		return
 	}
 	now := d.eng.Now()
-	rot := d.rots[d.level]
+	k := &d.ks[d.level]
 	cost := func(p pending) float64 {
-		seekMs := d.curve.Time(d.armCyl - p.loc.Cyl)
-		return seekMs + rot.LatencyTo(p.loc.Angle, now+d.model.ControllerOverheadMs+seekMs)
+		seekMs, rotMs := k.Position(d.armCyl, p.loc, now)
+		return seekMs + rotMs
 	}
 	p, ok := d.queue.Pop(now, cost)
 	if !ok {
 		return
 	}
 	d.busy = true
-	seekMs := d.curve.Time(d.armCyl - p.loc.Cyl)
-	atTrack := now + d.model.ControllerOverheadMs + seekMs
-	rotMs := rot.LatencyTo(p.loc.Angle, atTrack)
-	xferMs := d.transferTime(rot, p.req.LBA, p.req.Sectors)
+	seekMs, rotMs := k.Position(d.armCyl, p.loc, now)
+	xferMs := k.TransferMs(p.req.LBA, p.req.Sectors)
 	d.acct.AddSeek(seekMs, 1)
 	d.acct.Add(power.RotLatency, rotMs)
 	d.acct.Add(power.Transfer, xferMs)
 	d.armCyl = p.loc.Cyl
-	d.eng.At(atTrack+rotMs+xferMs, func() {
+	d.eng.At(now+d.model.ControllerOverheadMs+seekMs+rotMs+xferMs, func() {
 		d.busy = false
 		d.completed++
 		if p.req.Read {
@@ -366,24 +349,4 @@ func (d *Drive) trySchedule() {
 			d.armIdle()
 		}
 	})
-}
-
-func (d *Drive) transferTime(rot *mech.Rotation, lba int64, sectors int) float64 {
-	t := 0.0
-	cur := lba
-	remaining := sectors
-	for remaining > 0 {
-		l := d.geo.Locate(cur)
-		onTrack := l.SPT - l.Sector
-		if onTrack > remaining {
-			onTrack = remaining
-		}
-		t += rot.TransferTime(onTrack, l.SPT)
-		remaining -= onTrack
-		cur += int64(onTrack)
-		if remaining > 0 {
-			t += d.model.TrackSwitchMs
-		}
-	}
-	return t
 }

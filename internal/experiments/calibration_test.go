@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/disk"
+	"repro/internal/obs"
 	"repro/internal/simkit"
 	"repro/internal/trace"
 )
@@ -121,5 +123,48 @@ func TestReplayStreamUnroutableDisk(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "disk 5") {
 		t.Errorf("error %q does not name the unroutable disk", err)
+	}
+}
+
+// TestReplayStreamBeyondCapacity: a trace request past the device's end
+// ends the replay with an error naming its trace line, after the
+// requests before it have replayed, on a single drive and on the MD
+// router (where the limit is the addressed member's, and a disk the
+// router lacks is refused too).
+func TestReplayStreamBeyondCapacity(t *testing.T) {
+	spec, err := trace.WorkloadByName("Financial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, in, want string
+		md             bool
+	}{
+		{"drive", "0.0 0 0 8 R\n# comment\n0.1 0 99999999999 8 R\n0.2 0 0 8 R\n",
+			"trace line 3: request [99999999999,100000000007) beyond device capacity", false},
+		{"md member end", "0.0 0 0 8 R\n0.1 2 37201820 8 R\n",
+			"trace line 2: request [37201820,37201828) on disk 2 beyond its capacity of 37201824 sectors", true},
+		{"md missing disk", "0.0 0 0 8 R\n0.1 24 0 8 R\n",
+			"trace line 2: request targets disk 24 of 24", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := jobEngine(false)
+			var dev device.Device = newTestDisk(t, eng)
+			if tc.md {
+				md, err := NewMDSystem(eng, spec, obs.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				dev = md.Router
+			}
+			rd := trace.NewNativeReader(strings.NewReader(tc.in), trace.ReaderOpts{})
+			resp, err := ReplayStream(eng, dev, rd)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ReplayStream error %v, want one containing %q", err, tc.want)
+			}
+			if resp.Count() != 1 {
+				t.Errorf("replayed %d requests before the bad one, want 1", resp.Count())
+			}
+		})
 	}
 }

@@ -190,20 +190,44 @@ func Replay(eng simkit.Runner, dev device.Device, tr trace.Trace) (*stats.Sample
 // A stream that terminates with an error (an ingestion parse failure,
 // an unroutable remap — see trace.Err) stops chaining arrivals; the
 // simulation drains what was already submitted and the error is
-// returned alongside the partial sample.
+// returned alongside the partial sample. A request the device cannot
+// hold — past its capacity, or, on a per-disk router, aimed at a disk
+// it lacks or past that member's end — ends the replay the same way,
+// with an error naming the request's trace line: traces are outside
+// input, and the drives treat an out-of-range block as a simulator bug.
 func ReplayStream(eng simkit.Runner, dev device.Device, s trace.Stream) (*stats.Sample, error) {
 	resp := &stats.Sample{}
-	cur, ok := s.Next()
+	fits := fitsCheck(dev)
+	var err error
+	taken := 0
+	next := func() (trace.Request, bool) {
+		r, ok := s.Next()
+		if !ok {
+			err = trace.Err(s)
+			return r, false
+		}
+		taken++
+		if ferr := fits(r); ferr != nil {
+			where := fmt.Sprintf("request %d", taken)
+			if line := trace.Line(s); line > 0 {
+				where = fmt.Sprintf("trace line %d", line)
+			}
+			err = fmt.Errorf("experiments: replay: %s: %v", where, ferr)
+			return r, false
+		}
+		return r, true
+	}
+	cur, ok := next()
 	if !ok {
 		eng.Run()
-		return resp, trace.Err(s)
+		return resp, err
 	}
 	var fire simkit.Event
 	fire = func() {
 		r := cur
 		// Chain the next arrival before submitting, so same-instant
 		// arrivals keep their generation order ahead of service events.
-		if nxt, more := s.Next(); more {
+		if nxt, more := next(); more {
 			cur = nxt
 			eng.At(nxt.ArrivalMs, fire)
 		}
@@ -212,7 +236,39 @@ func ReplayStream(eng simkit.Runner, dev device.Device, s trace.Stream) (*stats.
 	}
 	eng.At(cur.ArrivalMs, fire)
 	eng.Run()
-	return resp, trace.Err(s)
+	return resp, err
+}
+
+// diskRouter is a device that forwards each request to the member its
+// Disk field names (raid.RouteByDisk).
+type diskRouter interface {
+	Members() int
+	MemberCapacity(disk int) int64
+}
+
+// fitsCheck returns the address check ReplayStream applies to every
+// request before submitting it to dev.
+func fitsCheck(dev device.Device) func(trace.Request) error {
+	if rt, ok := dev.(diskRouter); ok {
+		return func(r trace.Request) error {
+			if r.Disk < 0 || r.Disk >= rt.Members() {
+				return fmt.Errorf("request targets disk %d of %d", r.Disk, rt.Members())
+			}
+			if c := rt.MemberCapacity(r.Disk); r.End() > c {
+				return fmt.Errorf("request [%d,%d) on disk %d beyond its capacity of %d sectors",
+					r.LBA, r.End(), r.Disk, c)
+			}
+			return nil
+		}
+	}
+	capacity := dev.Capacity()
+	return func(r trace.Request) error {
+		if r.End() > capacity {
+			return fmt.Errorf("request [%d,%d) beyond device capacity of %d sectors",
+				r.LBA, r.End(), capacity)
+		}
+		return nil
+	}
 }
 
 // MDDriveModel returns the member-drive model of a workload's original

@@ -103,7 +103,7 @@ func (q WhatIfQuery) Validate() error {
 		return fmt.Errorf("what-if: actuators %d outside [1,%d]", q.Actuators, whatIfMaxActuators)
 	case q.RPM != 0 && !whatIfRPMs[q.RPM]:
 		return fmt.Errorf("what-if: rpm %g not in the evaluated grid (7200, 6200, 5200, 4200)", q.RPM)
-	case q.ArrivalScale < 0.1 || q.ArrivalScale > 16:
+	case outside(q.ArrivalScale, 0.1, 16):
 		return fmt.Errorf("what-if: arrival_scale %g outside [0.1,16]", q.ArrivalScale)
 	case q.Requests < 1 || q.Requests > 8_000_000:
 		return fmt.Errorf("what-if: requests %d outside [1,8000000]", q.Requests)
@@ -112,7 +112,7 @@ func (q WhatIfQuery) Validate() error {
 	}
 	for i, af := range q.ArmFaults {
 		switch {
-		case af.AtFrac < 0 || af.AtFrac > 1:
+		case outside(af.AtFrac, 0, 1):
 			return fmt.Errorf("what-if: arm_faults[%d].at_frac %g outside [0,1]", i, af.AtFrac)
 		case af.Arm < 0 || af.Arm >= q.Actuators:
 			return fmt.Errorf("what-if: arm_faults[%d].arm %d outside [0,%d)", i, af.Arm, q.Actuators)
@@ -120,6 +120,10 @@ func (q WhatIfQuery) Validate() error {
 	}
 	return nil
 }
+
+// outside reports whether x lies outside [lo, hi]. NaN lies outside
+// every range.
+func outside(x, lo, hi float64) bool { return !(x >= lo && x <= hi) }
 
 // Label renders the query's design point the way the paper names it.
 func (q WhatIfQuery) Label() string {

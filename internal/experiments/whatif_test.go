@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/fleet"
@@ -94,6 +95,10 @@ func TestWhatIfValidate(t *testing.T) {
 		{Workload: "Financial", Reps: 65},
 		{Workload: "Financial", ArmFaults: []WhatIfArmFault{{AtFrac: 2, Arm: 0}}},
 		{Workload: "Financial", ArmFaults: []WhatIfArmFault{{AtFrac: 0.5, Arm: 3}}},
+		{Workload: "Financial", ArrivalScale: math.NaN()},
+		{Workload: "Financial", ArrivalScale: math.Inf(1)},
+		{Workload: "Financial", ArmFaults: []WhatIfArmFault{{AtFrac: math.NaN(), Arm: 0}}},
+		{Workload: "Financial", ArmFaults: []WhatIfArmFault{{AtFrac: math.Inf(-1), Arm: 0}}},
 	}
 	for _, q := range bad {
 		if err := q.Validate(); err == nil {

@@ -117,8 +117,17 @@ func (r *Rotation) PeriodMs() float64 { return r.periodMs }
 // AngleAt reports the platter's angular position at time t (ms), as a
 // fraction of a revolution in [0,1). Position zero passes under the heads
 // at t=0, t=period, 2*period, ...
+//
+// For positive t the fraction is x - ⌊x⌋ with x = t/period, which is
+// exact and therefore the same bits as math.Mod(x, 1) at a fraction of
+// the cost: x itself below one revolution, and by Sterbenz's lemma
+// (⌊x⌋ lies in [x/2, x]) above it.
 func (r *Rotation) AngleAt(t float64) float64 {
-	frac := math.Mod(t/r.periodMs, 1)
+	x := t / r.periodMs
+	if x > 0 {
+		return x - math.Floor(x)
+	}
+	frac := math.Mod(x, 1)
 	if frac < 0 {
 		frac += 1
 	}

@@ -324,3 +324,50 @@ func TestEfficiencyFavorsParallelDriveOverArray(t *testing.T) {
 			eSingle.EnergyPerIOmJ, eArray.EnergyPerIOmJ)
 	}
 }
+
+// TestModePowerMatchesFormula pins the memoized motor powers: every
+// mode at every VCM count (including the clamped ones) must be the same
+// bits as evaluating the model's formulas on the spot.
+func TestModePowerMatchesFormula(t *testing.T) {
+	c := Default()
+	for _, spec := range []DriveSpec{
+		barracuda(),
+		{Platters: 4, DiameterIn: 3.7, RPM: 7200, Actuators: 4},
+		{Platters: 6, DiameterIn: 3.5, RPM: 4200, Actuators: 2},
+		{Platters: 1, DiameterIn: 2.5, RPM: 15000, Actuators: 3},
+	} {
+		m := mustModel(t, spec)
+		spm := c.SPMCoeff * float64(spec.Platters) *
+			math.Pow(spec.DiameterIn, c.SPMDiamExp) *
+			math.Pow(spec.RPM/1000, c.SPMRPMExp)
+		vcm := c.VCMCoeff * math.Pow(spec.DiameterIn, c.VCMDiamExp)
+		base := spm + (c.ElecW + float64(spec.Actuators)*c.ElecPerArmW)
+		for _, mode := range Modes {
+			for n := -1; n <= spec.Actuators+1; n++ {
+				want := base
+				switch mode {
+				case Seek:
+					active := min(max(n, 1), spec.Actuators)
+					want = base + float64(active)*vcm
+				case Transfer:
+					want = base + c.TransferW
+				}
+				if got := m.ModePower(mode, n); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%+v: ModePower(%v, %d) = %v, formula %v", spec, mode, n, got, want)
+				}
+			}
+		}
+		if m.SPMPower() != spm || m.VCMPower() != vcm {
+			t.Errorf("%+v: SPM/VCM = %v/%v, formula %v/%v", spec, m.SPMPower(), m.VCMPower(), spm, vcm)
+		}
+	}
+}
+
+var benchSink float64
+
+func BenchmarkModePower(b *testing.B) {
+	m := mustModel(b, DriveSpec{Platters: 4, DiameterIn: 3.7, RPM: 7200, Actuators: 4})
+	for i := 0; i < b.N; i++ {
+		benchSink += m.ModePower(Modes[i%len(Modes)], 1+i%4)
+	}
+}

@@ -276,6 +276,10 @@ func NewRouteByDisk(members []device.Device) (*RouteByDisk, error) {
 // Members reports the member count.
 func (rt *RouteByDisk) Members() int { return len(rt.members) }
 
+// MemberCapacity reports the addressable size of member disk, in
+// sectors.
+func (rt *RouteByDisk) MemberCapacity(disk int) int64 { return rt.members[disk].Capacity() }
+
 // Capacity reports the summed member capacity.
 func (rt *RouteByDisk) Capacity() int64 {
 	var total int64

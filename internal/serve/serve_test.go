@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -512,5 +514,49 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if c.len() != 2 {
 		t.Errorf("len = %d, want 2", c.len())
+	}
+}
+
+// TestAdmitStressInstantWorkers hammers admission with many concurrent
+// distinct queries whose computation fails at once, the fastest path a
+// worker has, so a worker often finishes a call before the admitting
+// goroutine has returned. The in-flight count must already include the
+// call by then; otherwise the worker's Done drives the WaitGroup
+// negative and the process panics. Oversubscribing the CPUs lets the
+// host preempt an admitting thread right after its send, which is the
+// window the crash needs. Run with -race.
+func TestAdmitStressInstantWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8 * runtime.NumCPU()))
+	s, _ := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
+	errInstant := errors.New("instant failure")
+	s.runner = func(ctx context.Context, q Query, progress func(int, int, string)) ([]*experiments.WhatIfRun, error) {
+		return nil, errInstant
+	}
+	const goroutines, perGoroutine = 64, 1500
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perGoroutine; i++ {
+				q := Query{WhatIfQuery: experiments.WhatIfQuery{
+					Workload: "Financial", Actuators: 1, Requests: 10, Reps: 1,
+					Seed: int64(g*perGoroutine + i),
+				}}
+				_, _, err := s.answer(context.Background(), q, nil)
+				var se *shedError
+				if !errors.Is(err, errInstant) && (!errors.As(err, &se) || se.status != http.StatusTooManyRequests) {
+					t.Errorf("query %d/%d: got %v, want the runner's error or a 429", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Computed+st.Shed != goroutines*perGoroutine || st.Errors != st.Computed {
+		t.Errorf("stats %+v: want computed + shed = %d and every computation failed",
+			st, goroutines*perGoroutine)
 	}
 }

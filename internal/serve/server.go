@@ -262,11 +262,15 @@ func (s *Server) admit(c *call) error {
 				msg: fmt.Sprintf("overloaded: estimated wait %.0fms exceeds %dms", est, s.cfg.MaxEstWaitMs)}
 		}
 	}
+	// Count the call before a worker can see it: a worker that picks it
+	// up and finishes at once calls inflight.Done, which must never run
+	// ahead of this Add.
+	s.inflight.Add(1)
 	select {
 	case s.workCh <- c:
-		s.inflight.Add(1)
 		return nil
 	default:
+		s.inflight.Done()
 		return &shedError{status: 429, retryAfter: retry,
 			msg: fmt.Sprintf("overloaded: compute queue full (%d deep)", s.cfg.queueDepth())}
 	}

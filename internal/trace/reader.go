@@ -136,6 +136,10 @@ func (rd *Reader) Format() Format { return rd.p.format() }
 // ordering violation, or an underlying read error.
 func (rd *Reader) Err() error { return rd.err }
 
+// Line reports the input line of the request Next returned last (0
+// before the first).
+func (rd *Reader) Line() int { return rd.prevLine }
+
 // Close releases the underlying file when the reader came from
 // OpenFile; it is a no-op otherwise.
 func (rd *Reader) Close() error {

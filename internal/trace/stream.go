@@ -45,6 +45,16 @@ func Err(s Stream) error {
 	return nil
 }
 
+// Line reports the input line of the request s returned last, for
+// error messages. Streams parsed from text (Reader, and streams layered
+// on one) expose a Line() method; others report 0.
+func Line(s Stream) int {
+	if ls, ok := s.(interface{ Line() int }); ok {
+		return ls.Line()
+	}
+	return 0
+}
+
 // remapStream applies the Remap address migration on the fly.
 type remapStream struct {
 	s       Stream
@@ -83,6 +93,9 @@ func (s *remapStream) Err() error {
 	}
 	return Err(s.s)
 }
+
+// Line reports the inner stream's line of the last request.
+func (s *remapStream) Line() int { return Line(s.s) }
 
 // RemapStream retargets every request of s to a single disk (disk 0) at
 // LBA offset[r.Disk]+r.LBA — the streaming form of Trace.Remap,
