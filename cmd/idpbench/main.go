@@ -5,7 +5,7 @@
 // Usage:
 //
 //	idpbench [-exp all|table1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|degradation|lpraid|table9a|fig9b]
-//	         [-requests N] [-seed S] [-workload NAME] [-parallel N] [-lpparallel] [-quiet]
+//	         [-requests N] [-seed S] [-workload NAME] [-parallel N] [-quiet]
 //	         [-trace out.jsonl] [-metrics] [-pprof out.pb.gz]
 //	idpbench -exp calibration -calibrate fin.spc,srv.msr
 //
@@ -20,15 +20,11 @@
 // printed in canonical order, so the output is byte-identical at any
 // parallelism level. Progress is reported on stderr.
 //
-// -lpparallel additionally parallelizes *within* each simulation: jobs
-// run on the partitioned engine (internal/simkit/par) instead of the
-// sequential one. Single-timeline studies execute on one logical process
-// (inline, byte-identical by construction); the lpraid scenario — a
-// 64-drive partitioned array, the one simulation too wide for a single
-// event loop, run healthy and again degraded (RAID-5 member death and
-// rebuild crossing the links) — and the degradation study's rebuild-lp
-// rows run their member timelines on all cores. Output bytes are
-// identical with and without the flag; only wall-clock time changes.
+// Each simulation runs on one engine fixed by its topology: the
+// single-timeline studies on the sequential engine, and the partitioned
+// arrays — the lpraid scenario (a 64-drive array, healthy and degraded)
+// and the degradation study's rebuild-lp rows — on the partitioned
+// engine (internal/simkit/par) with one worker.
 //
 // With -trace, every simulated request's lifecycle span events
 // (submit/queue/seek/rotate/transfer/complete, with actuator ids) are
@@ -63,7 +59,6 @@ func main() {
 		seed     = flag.Int64("seed", experiments.DefaultConfig().Seed, "workload synthesis seed")
 		wl       = flag.String("workload", "", "restrict trace experiments to one workload (Financial, Websearch, TPC-C, TPC-H)")
 		parallel = flag.Int("parallel", 0, "worker-pool size for independent simulations (0 = GOMAXPROCS)")
-		lppar    = flag.Bool("lpparallel", false, "run each simulation on the partitioned engine (byte-identical output)")
 		quiet    = flag.Bool("quiet", false, "suppress per-section progress on stderr")
 		traceOut = flag.String("trace", "", "write request-lifecycle span events to this JSONL file")
 		metrics  = flag.Bool("metrics", false, "append device statistics snapshots to each section")
@@ -93,7 +88,6 @@ func main() {
 		Requests:    *requests,
 		Seed:        *seed,
 		Parallelism: *parallel,
-		LPParallel:  *lppar,
 		Observe:     experiments.Observe{Trace: *traceOut != "", Metrics: *metrics},
 	}
 
@@ -365,8 +359,7 @@ func run(out io.Writer, exp string, cfg experiments.Config, workloads []trace.Wo
 	if all || exp == "lpraid" {
 		ran = true
 		// The healthy scale run, then the same array serving through a
-		// member death and rebuild — both on the partitioned engine, both
-		// byte-identical with -lpparallel on or off.
+		// member death and rebuild, both on the partitioned engine.
 		for _, opts := range []experiments.LPRAIDOpts{{}, {Degraded: true}} {
 			lr, err := experiments.LPRAID(cfg, opts)
 			if err != nil {

@@ -6,7 +6,7 @@
 //	idpsim -workload Websearch -system sa4 [-requests N] [-seed S] [-rpm R]
 //	idpsim -replay file.trc -system hcsd
 //	idpsim -system sa4 -trace out.jsonl -metrics
-//	idpsim -system raid64 -lpparallel
+//	idpsim -system raid64
 //
 // Systems:
 //
@@ -18,20 +18,19 @@
 //	       (internal/simkit/par), coupled through links whose latency is
 //	       the engine's conservative lookahead
 //
-// -lpparallel moves the simulation to the partitioned engine. For md,
-// hcsd and saN it runs on one logical process — byte-identical to the
-// sequential engine by construction. For raidN, which always uses the
-// partitioned engine, the flag turns the worker pool on (all cores)
-// instead of simulating the processes one at a time; the output is
-// byte-identical either way, only wall-clock time changes.
+// md, hcsd and saN simulate on the sequential engine; raidN simulates
+// on the partitioned engine with one worker.
 //
 // -degraded (raidN only, N >= 3) swaps the stripe set to RAID-5 and
 // injects the degradation study's fault timeline: one member dies at
 // 35% of the nominal duration and is rebuilt from 45%, the rebuild's
 // survivor reads and reconstruction writes crossing the member links
-// behind foreground traffic. Still byte-identical at any worker count.
+// behind foreground traffic.
 // -replay is rejected for raidN: partitioned arrays replay synthesized
 // workloads only.
+//
+// -rpm must be zero (the model's own 7200 RPM) or a finite positive
+// value; it applies to hcsd, saN and raidN.
 //
 // Observability:
 //
@@ -45,6 +44,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime/pprof"
 	"strconv"
@@ -72,9 +72,8 @@ func main() {
 		system   = flag.String("system", "hcsd", "storage system: md, hcsd, saN (e.g. sa4), or raidN (e.g. raid64)")
 		requests = flag.Int("requests", 100000, "requests to synthesize")
 		seed     = flag.Int64("seed", 1, "workload synthesis seed")
-		rpm      = flag.Float64("rpm", 0, "override drive RPM (reduced-RPM designs)")
+		rpm      = flag.Float64("rpm", 0, "override drive RPM (reduced-RPM designs; 0 keeps 7200)")
 		degraded = flag.Bool("degraded", false, "raidN only: RAID-5 with a mid-run member death and rebuild under load")
-		lppar    = flag.Bool("lpparallel", false, "simulate on the partitioned engine (byte-identical output)")
 		traceOut = flag.String("trace", "", "write request-lifecycle span events to this JSONL file")
 		metrics  = flag.Bool("metrics", false, "print the device statistics snapshot after the run")
 		pprofOut = flag.String("pprof", "", "write a CPU profile to this file")
@@ -95,13 +94,13 @@ func main() {
 			f.Close()
 		}()
 	}
-	if err := run(*wl, *replay, *system, *requests, *reorder, *seed, *rpm, *traceOut, *metrics, *degraded, *lppar); err != nil {
+	if err := run(*wl, *replay, *system, *requests, *reorder, *seed, *rpm, *traceOut, *metrics, *degraded); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm float64, traceOut string, metrics, degraded, lppar bool) error {
+func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm float64, traceOut string, metrics, degraded bool) error {
 	// Unsupported flag combinations fail with one-line errors up front,
 	// before any simulation state exists.
 	if replayFile != "" && strings.HasPrefix(system, "raid") {
@@ -115,6 +114,9 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 	}
 	if reorder < 0 {
 		return fmt.Errorf("-reorder must be >= 0, got %d", reorder)
+	}
+	if rpm < 0 || math.IsNaN(rpm) || math.IsInf(rpm, 0) {
+		return fmt.Errorf("-rpm must be a finite value >= 0, got %v", rpm)
 	}
 	spec, err := trace.WorkloadByName(wl)
 	if err != nil {
@@ -153,14 +155,9 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 		sink = jsonl
 	}
 
-	// The single-timeline systems run on one logical process of the
-	// partitioned engine when -lpparallel is set — byte-identical to the
-	// sequential engine by construction (see simkit/par). raidN below
-	// builds its own multi-LP engine.
+	// raidN below replaces eng with the controller LP of its own
+	// partitioned engine.
 	var eng simkit.Runner = simkit.New()
-	if lppar {
-		eng = par.New(1, par.Options{Workers: 1}).Runner(0)
-	}
 	label := system
 	var resp *stats.Sample
 	var powerOf func(elapsed float64) string
@@ -250,11 +247,7 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 		if err != nil {
 			return err
 		}
-		workers := 1
-		if lppar {
-			workers = 0 // par default: all cores
-		}
-		pe := par.New(n+1, par.Options{Workers: workers})
+		pe := par.New(n+1, par.Options{Workers: 1})
 		arr, err := raid.NewPartitioned(pe, layout, bus.DefaultLink(), int64(model.Geom.SectorBytes),
 			func(s simkit.Scheduler, i int) (device.Device, error) {
 				return disk.New(s, model, disk.Options{

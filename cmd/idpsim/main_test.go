@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,7 +19,7 @@ func TestReplayBeyondCapacityIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, system := range []string{"hcsd", "sa4", "md"} {
-		err := run("Financial", path, system, 0, 0, 1, 0, "", false, false, false)
+		err := run("Financial", path, system, 0, 0, 1, 0, "", false, false)
 		if err == nil {
 			t.Fatalf("-system %s: replay past capacity succeeded", system)
 		}
@@ -26,6 +27,24 @@ func TestReplayBeyondCapacityIsAnError(t *testing.T) {
 		if strings.Contains(msg, "\n") || !strings.Contains(msg, "trace line 3") ||
 			!strings.Contains(msg, "[99999999999,100000000007)") {
 			t.Errorf("-system %s: error %q, want one line naming trace line 3 and the request", system, msg)
+		}
+	}
+}
+
+// TestBadRPMIsAnError: a negative or non-finite -rpm is refused with a
+// one-line error before any simulation runs, on every system that
+// takes it, instead of silently falling back to 7200 RPM or printing
+// NaN results.
+func TestBadRPMIsAnError(t *testing.T) {
+	for _, rpm := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, system := range []string{"hcsd", "sa4", "raid4"} {
+			err := run("Financial", "", system, 100, 0, 1, rpm, "", false, false)
+			if err == nil {
+				t.Fatalf("-system %s -rpm %v: accepted", system, rpm)
+			}
+			if msg := err.Error(); strings.Contains(msg, "\n") || !strings.Contains(msg, "-rpm") {
+				t.Errorf("-system %s -rpm %v: error %q, want one line naming -rpm", system, rpm, msg)
+			}
 		}
 	}
 }

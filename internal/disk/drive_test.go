@@ -65,20 +65,25 @@ func TestNamedModelCapacities(t *testing.T) {
 }
 
 func TestModelValidation(t *testing.T) {
-	m := smallModel()
-	m.RPM = 0
-	if err := m.Validate(); err == nil {
-		t.Fatalf("accepted zero RPM")
-	}
-	m = smallModel()
-	m.AvgSeekMs = m.SingleCylMs // breaks seek spec
-	if err := m.Validate(); err == nil {
-		t.Fatalf("accepted degenerate seek curve")
-	}
-	m = smallModel()
-	m.ControllerOverheadMs = -1
-	if err := m.Validate(); err == nil {
-		t.Fatalf("accepted negative overhead")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Model)
+	}{
+		{"zero RPM", func(m *Model) { m.RPM = 0 }},
+		{"negative RPM", func(m *Model) { m.RPM = -7200 }},
+		{"NaN RPM", func(m *Model) { m.RPM = math.NaN() }},
+		{"+Inf RPM", func(m *Model) { m.RPM = math.Inf(1) }},
+		{"zero diameter", func(m *Model) { m.DiameterIn = 0 }},
+		{"NaN diameter", func(m *Model) { m.DiameterIn = math.NaN() }},
+		{"+Inf diameter", func(m *Model) { m.DiameterIn = math.Inf(1) }},
+		{"degenerate seek curve", func(m *Model) { m.AvgSeekMs = m.SingleCylMs }},
+		{"negative overhead", func(m *Model) { m.ControllerOverheadMs = -1 }},
+	} {
+		m := smallModel()
+		tc.mutate(&m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ package disk
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/geom"
@@ -49,10 +50,10 @@ func (m Model) Validate() error {
 		return err
 	}
 	switch {
-	case m.RPM <= 0:
-		return fmt.Errorf("disk: %s: RPM must be positive", m.Name)
-	case m.DiameterIn <= 0:
-		return fmt.Errorf("disk: %s: DiameterIn must be positive", m.Name)
+	case !finitePositive(m.RPM):
+		return fmt.Errorf("disk: %s: RPM must be finite and positive, got %v", m.Name, m.RPM)
+	case !finitePositive(m.DiameterIn):
+		return fmt.Errorf("disk: %s: DiameterIn must be finite and positive, got %v", m.Name, m.DiameterIn)
 	case m.CacheBytes < 0:
 		return fmt.Errorf("disk: %s: CacheBytes must be nonnegative", m.Name)
 	case m.ControllerOverheadMs < 0 || m.CacheHitMs < 0 || m.TrackSwitchMs < 0:
@@ -60,6 +61,10 @@ func (m Model) Validate() error {
 	}
 	return nil
 }
+
+// finitePositive rejects NaN, which fails every comparison, along with
+// zero, negatives and +Inf.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 func (m Model) seekSpec() mech.SeekSpec {
 	return mech.SeekSpec{

@@ -24,10 +24,8 @@ func newTestDisk(t *testing.T, eng simkit.Runner) *disk.Drive {
 	return d
 }
 
-// TestCalibrationDeterminism pins the issue's acceptance criterion in
-// test form: for one vendored fixture per format, the rendered
-// calibration table is byte-identical at Parallelism 1 vs 8 and with
-// the partitioned engine on vs off.
+// TestCalibrationDeterminism: for one vendored fixture per format, the
+// rendered calibration table is byte-identical at Parallelism 1 vs 8.
 func TestCalibrationDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -50,9 +48,6 @@ func TestCalibrationDeterminism(t *testing.T) {
 		}
 		if got := render(path, Config{Seed: 1, Parallelism: 8}); got != base {
 			t.Errorf("%s: table differs at Parallelism 8", fx)
-		}
-		if got := render(path, Config{Seed: 1, Parallelism: 8, LPParallel: true}); got != base {
-			t.Errorf("%s: table differs with LPParallel", fx)
 		}
 	}
 }
@@ -93,7 +88,7 @@ func TestCalibrationResultShape(t *testing.T) {
 // its error from ReplayStream instead of silently truncating the replay
 // (the pre-fix behavior was a panic in RemapStream and silence here).
 func TestReplayStreamPropagatesIngestError(t *testing.T) {
-	eng := jobEngine(false)
+	eng := simkit.New()
 	d := newTestDisk(t, eng)
 	in := "0.0 0 0 8 R\nnot a trace line\n"
 	rd := trace.NewNativeReader(strings.NewReader(in), trace.ReaderOpts{})
@@ -113,7 +108,7 @@ func TestReplayStreamPropagatesIngestError(t *testing.T) {
 // a request targeting a disk beyond the remap offset table is an error,
 // not a panic.
 func TestReplayStreamUnroutableDisk(t *testing.T) {
-	eng := jobEngine(false)
+	eng := simkit.New()
 	d := newTestDisk(t, eng)
 	in := "0.0 0 0 8 R\n0.1 5 0 8 R\n"
 	rd := trace.NewNativeReader(strings.NewReader(in), trace.ReaderOpts{})
@@ -148,7 +143,7 @@ func TestReplayStreamBeyondCapacity(t *testing.T) {
 			"trace line 2: request targets disk 24 of 24", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := jobEngine(false)
+			eng := simkit.New()
 			var dev device.Device = newTestDisk(t, eng)
 			if tc.md {
 				md, err := NewMDSystem(eng, spec, obs.Options{})

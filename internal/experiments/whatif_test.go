@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/fleet"
@@ -84,10 +87,10 @@ func TestWhatIfArmFaultApplied(t *testing.T) {
 	}
 }
 
-// TestWhatIfValidate covers the rejection paths a serving layer relies
-// on to 400 malformed queries instead of running them.
-func TestWhatIfValidate(t *testing.T) {
-	bad := []WhatIfQuery{
+// whatIfBadQueries are the rejection paths a serving layer relies on to
+// 400 malformed queries instead of running them.
+func whatIfBadQueries() []WhatIfQuery {
+	return []WhatIfQuery{
 		{Workload: "nope"},
 		{Workload: "Financial", Actuators: 9},
 		{Workload: "Financial", RPM: 9999},
@@ -100,7 +103,10 @@ func TestWhatIfValidate(t *testing.T) {
 		{Workload: "Financial", ArmFaults: []WhatIfArmFault{{AtFrac: math.NaN(), Arm: 0}}},
 		{Workload: "Financial", ArmFaults: []WhatIfArmFault{{AtFrac: math.Inf(-1), Arm: 0}}},
 	}
-	for _, q := range bad {
+}
+
+func TestWhatIfValidate(t *testing.T) {
+	for _, q := range whatIfBadQueries() {
 		if err := q.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", q)
 		}
@@ -108,6 +114,46 @@ func TestWhatIfValidate(t *testing.T) {
 	if err := whatIfTestQuery().Validate(); err != nil {
 		t.Errorf("valid query rejected: %v", err)
 	}
+}
+
+// FuzzWhatIfQuery feeds arbitrary bytes through the serving boundary's
+// strict decode (unknown fields rejected) and Validate. Neither may
+// panic, and a query Validate accepts must resolve to a valid workload
+// spec and re-encode for the cache key, with Normalize idempotent.
+func FuzzWhatIfQuery(f *testing.F) {
+	for _, q := range append(whatIfBadQueries(), whatIfTestQuery(), WhatIfQuery{Workload: "TPC-C"}) {
+		if data, err := json.Marshal(q); err == nil { // NaN and ±Inf do not encode
+			f.Add(data)
+		}
+	}
+	f.Add([]byte(`{"workload":"Financial","bogus":true}`))
+	f.Add([]byte(`{"workload":"Websearch","rpm":5200,"arm_faults":[{"at_frac":1,"arm":0}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var q WhatIfQuery
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&q) != nil || q.Validate() != nil {
+			return
+		}
+		n := q.Normalize()
+		if !reflect.DeepEqual(n.Normalize(), n) {
+			t.Fatalf("Normalize not idempotent: %+v vs %+v", n, n.Normalize())
+		}
+		if err := n.Validate(); err != nil {
+			t.Fatalf("normalized query rejected: %v", err)
+		}
+		spec, err := n.spec()
+		if err != nil {
+			t.Fatalf("valid query %+v: spec: %v", n, err)
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("valid query %+v: spec invalid: %v", n, err)
+		}
+		if _, err := json.Marshal(n); err != nil {
+			t.Fatalf("valid query %+v does not encode: %v", n, err)
+		}
+		_ = n.Label()
+	})
 }
 
 // cancelAfterCtx is a deterministic mid-run cancellation: it reports

@@ -167,6 +167,22 @@ func TestCacheKeyCodeVersion(t *testing.T) {
 	}
 }
 
+// TestCacheKeyPinned: the key is a content address of the canonical
+// query JSON, so it may only move when that encoding does. Schema
+// changes that leave existing queries' encoding alone (removing an
+// omitempty field, say) must keep every existing key, or recorded keys
+// and cached answers are orphaned.
+func TestCacheKeyPinned(t *testing.T) {
+	const want = "8115f0308a5fc8d80ce8f11635616f56e531225320c1b5c52257c59b0ed6782b"
+	got, err := testQuery().Key("v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("Key(v1) = %s, want %s", got, want)
+	}
+}
+
 // fakeRuns builds a minimal deterministic replicate result for stubbed
 // runners.
 func fakeRuns(n int) []*experiments.WhatIfRun {
@@ -494,6 +510,36 @@ func TestQueryValidation400(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != 400 {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+}
+
+// TestRemovedFieldIs400: a body still carrying the engine-selection
+// field the query schema no longer has is refused on both endpoints
+// with a one-line error naming the field, not silently ignored.
+func TestRemovedFieldIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const field = "lp_parallel"
+	const q = `{"workload":"Financial","requests":100,"` + field + `":true}`
+	for path, body := range map[string]string{
+		"/v1/query": q,
+		"/v1/batch": `{"queries":[` + q + `]}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding error body: %v", path, err)
+		}
+		if resp.StatusCode != 400 {
+			t.Errorf("%s: status %d, want 400", path, resp.StatusCode)
+		}
+		if strings.Contains(eb.Error, "\n") || !strings.Contains(eb.Error, `unknown field "`+field+`"`) {
+			t.Errorf("%s: error %q, want one line naming the field", path, eb.Error)
 		}
 	}
 }
