@@ -27,7 +27,8 @@
 // survivor reads and reconstruction writes crossing the member links
 // behind foreground traffic.
 // -replay is rejected for raidN: partitioned arrays replay synthesized
-// workloads only.
+// workloads only. A replayed trace that yields no requests is an error;
+// otherwise the report's header names the trace file.
 //
 // -rpm must be zero (the model's own 7200 RPM) or a finite positive
 // value; it applies to hcsd, saN and raidN.
@@ -299,8 +300,15 @@ func run(wl, replayFile, system string, requests, reorder int, seed int64, rpm f
 		return fmt.Errorf("unknown system %q", system)
 	}
 
+	source := spec.Name
+	if replayFile != "" {
+		if resp.Count() == 0 {
+			return fmt.Errorf("-replay %s: the trace holds no requests", replayFile)
+		}
+		source = "trace " + replayFile
+	}
 	elapsed := eng.Now()
-	fmt.Printf("workload: %s (%d requests, %.1f s simulated)\n", spec.Name, resp.Count(), elapsed/1000)
+	fmt.Printf("workload: %s (%d requests, %.1f s simulated)\n", source, resp.Count(), elapsed/1000)
 	fmt.Printf("system:   %s\n", label)
 	fmt.Printf("response: %s\n", resp.Summarize())
 	fmt.Printf("CDF:      %s\n", stats.FormatCDFRow(stats.ResponseBucketEdgesMs, resp.ResponseCDF()))

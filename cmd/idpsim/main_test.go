@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -29,6 +30,74 @@ func TestReplayBeyondCapacityIsAnError(t *testing.T) {
 			t.Errorf("-system %s: error %q, want one line naming trace line 3 and the request", system, msg)
 		}
 	}
+}
+
+// TestEmptyReplayIsAnError: a trace with no requests (an empty file,
+// or only a header and comments) is refused with a one-line error that
+// names the file, instead of printing an n=0 report whose CDF puts
+// every request past 200 ms.
+func TestEmptyReplayIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.trc")
+	headerOnly := filepath.Join(dir, "header.csv")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(headerOnly, []byte("ASU,LBA,Size,Opcode,Timestamp\n# no data\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{empty, headerOnly} {
+		for _, system := range []string{"hcsd", "sa4", "md"} {
+			err := run("Financial", path, system, 0, 0, 1, 0, "", false, false)
+			if err == nil {
+				t.Fatalf("-system %s -replay %s: empty replay succeeded", system, path)
+			}
+			if msg := err.Error(); strings.Contains(msg, "\n") || !strings.Contains(msg, path) {
+				t.Errorf("-system %s: error %q, want one line naming %s", system, msg, path)
+			}
+		}
+	}
+}
+
+// TestReplayHeaderNamesTrace: the report of a replay names the trace
+// file, not the -workload default that only shapes the address remap.
+func TestReplayHeaderNamesTrace(t *testing.T) {
+	path, err := filepath.Abs(filepath.Join("..", "..", "internal", "trace", "testdata", "sample.spc.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() error {
+		return run("Websearch", path, "hcsd", 0, 0, 1, 0, "", false, false)
+	})
+	first, _, _ := strings.Cut(out, "\n")
+	if want := "workload: trace " + path + " ("; !strings.HasPrefix(first, want) {
+		t.Fatalf("header %q, want prefix %q", first, want)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a pipe and returns
+// what it printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan []byte)
+	go func() {
+		out, _ := io.ReadAll(r)
+		read <- out
+	}()
+	saved := os.Stdout
+	os.Stdout = w
+	runErr := fn()
+	os.Stdout = saved
+	w.Close()
+	out := <-read
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return string(out)
 }
 
 // TestBadRPMIsAnError: a negative or non-finite -rpm is refused with a

@@ -29,11 +29,14 @@
 // flagged: a write to any field of an aggregate (a struct with a
 // *par.Engine or *par.LP field — the controller object), and a write
 // to a captured variable declared in a scope that never runs in member
-// context (the runPhase/Rebuild closure counters). State a member
-// event owns outright — locals of the member event itself — is
-// untouched, and routing the update through LP.Send to the owning LP
-// is recognized because the Send literal gets the destination's
-// context, not the sender's.
+// context (the runPhase/Rebuild closure counters). An aggregate's
+// fields include those of every struct it embeds, at any depth: raid's
+// shared controller state (failure set, request counters) holds no
+// engine itself and is controller-owned only because Partitioned
+// embeds it. State a member event owns outright — locals of the member
+// event itself — is untouched, and routing the update through LP.Send
+// to the owning LP is recognized because the Send literal gets the
+// destination's context, not the sender's.
 package lpconfine
 
 import (
@@ -99,7 +102,8 @@ type confine struct {
 
 	// aggField marks fields of aggregate structs — package structs
 	// holding a *par.Engine or *par.LP, i.e. the controller objects
-	// whose state the ownership partition protects.
+	// whose state the ownership partition protects — and of the structs
+	// they embed.
 	aggField map[*types.Var]bool
 
 	// callArg marks literals that appear directly as a call argument or
@@ -165,9 +169,32 @@ func (cf *confine) index(prog *analysis.Program) {
 			if !ok || !hasParField(st) {
 				continue
 			}
-			for i := 0; i < st.NumFields(); i++ {
-				cf.aggField[st.Field(i)] = true
-			}
+			cf.markFields(st)
+		}
+	}
+}
+
+// markFields marks every field of an aggregate as controller-owned,
+// descending into embedded structs (by value or pointer, at any depth):
+// state an aggregate embeds — raid's shared controller inside
+// Partitioned — is the aggregate's state even though the embedded type
+// holds no engine itself.
+func (cf *confine) markFields(st *types.Struct) {
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if cf.aggField[f] {
+			continue
+		}
+		cf.aggField[f] = true
+		if !f.Embedded() {
+			continue
+		}
+		t := f.Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if inner, ok := t.Underlying().(*types.Struct); ok {
+			cf.markFields(inner)
 		}
 	}
 }

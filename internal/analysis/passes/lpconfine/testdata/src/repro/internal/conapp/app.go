@@ -45,6 +45,15 @@ func BadThroughHelper(c *confix.Ctl) {
 	})
 }
 
+// BadEmbedded reaches state the aggregate embeds through a helper on
+// the embedded type — a member completion bumping the controller's
+// request counter. The write is flagged in confix.State.Bump.
+func BadEmbedded(c *confix.Ctl) {
+	c.Eng.LP(0).Send(1, c.Eng.LP(0).Now()+1, func() {
+		c.Bump()
+	})
+}
+
 // GoodSend routes the completion back to LP 0: the write happens in an
 // event armed on the controller LP, which owns the state. This is the
 // PR-8 degraded-mode pattern — member completion, controller update.

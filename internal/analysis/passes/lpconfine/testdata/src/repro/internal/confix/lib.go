@@ -7,11 +7,26 @@ package confix
 import "repro/internal/simkit/par"
 
 // Ctl is a controller aggregate: holding the engine marks every field
-// as controller-owned state for the ownership check.
+// as controller-owned state for the ownership check — including the
+// fields of the State it embeds.
 type Ctl struct {
+	State
 	Eng  *par.Engine
 	Done int
 	Busy []float64
+}
+
+// State is controller state shared through embedding, in the mold of
+// raid's controller inside Partitioned: it holds no engine itself, so
+// only its place inside Ctl makes its fields controller-owned.
+type State struct {
+	Completed int
+}
+
+// Bump is a helper on the embedded state reached from a member-LP
+// event (see conapp.BadEmbedded): the write is flagged here.
+func (s *State) Bump() {
+	s.Completed++ // want "controller-owned"
 }
 
 // Finish is reached through a call chain from a member-LP event (see

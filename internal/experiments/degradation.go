@@ -181,6 +181,27 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 	per := (total + int64(degradationMembers-1) - 1) / int64(degradationMembers-1)
 	per = (per + StripeUnitSectors - 1) / StripeUnitSectors * StripeUnitSectors
 	chunk := (per + degradationRebuildChunks - 1) / degradationRebuildChunks
+	// rebuildPlan is the fault timeline both rebuild topologies share:
+	// latent sector errors on one member until another dies, then a
+	// rebuild of the dead member at the given chunk depth.
+	rebuildPlan := func(depth int) (fault.Plan, error) {
+		deathMs := degradationDeathFrac * durationMs
+		return fault.Compile(fault.Spec{
+			SectorErrors: fault.SectorErrors{
+				Count:       degradationSectorErrors,
+				StartMs:     degradationErrorStartFrac * durationMs,
+				EndMs:       deathMs,
+				UserSectors: per,
+			},
+			Death: &fault.Death{
+				AtMs:         deathMs,
+				Member:       degradationDeadMember,
+				RebuildAtMs:  degradationRebuildFrac * durationMs,
+				ChunkSectors: chunk,
+				Depth:        depth,
+			},
+		}, cfg.Seed)
+	}
 
 	jobs := []fleet.Job[DegradationRun]{
 		{Name: spec.Name + "/degradation/healthy", Run: func(context.Context, int64) (DegradationRun, error) {
@@ -321,22 +342,7 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 				if err != nil {
 					return DegradationRun{}, err
 				}
-				deathMs := degradationDeathFrac * durationMs
-				plan, err := fault.Compile(fault.Spec{
-					SectorErrors: fault.SectorErrors{
-						Count:       degradationSectorErrors,
-						StartMs:     degradationErrorStartFrac * durationMs,
-						EndMs:       deathMs,
-						UserSectors: per,
-					},
-					Death: &fault.Death{
-						AtMs:         deathMs,
-						Member:       degradationDeadMember,
-						RebuildAtMs:  degradationRebuildFrac * durationMs,
-						ChunkSectors: chunk,
-						Depth:        depth,
-					},
-				}, cfg.Seed)
+				plan, err := rebuildPlan(depth)
 				if err != nil {
 					return DegradationRun{}, err
 				}
@@ -393,22 +399,7 @@ func RunDegradationStudy(spec trace.WorkloadSpec, cfg Config, depths []int) (*De
 				if err != nil {
 					return DegradationRun{}, err
 				}
-				deathMs := degradationDeathFrac * durationMs
-				plan, err := fault.Compile(fault.Spec{
-					SectorErrors: fault.SectorErrors{
-						Count:       degradationSectorErrors,
-						StartMs:     degradationErrorStartFrac * durationMs,
-						EndMs:       deathMs,
-						UserSectors: per,
-					},
-					Death: &fault.Death{
-						AtMs:         deathMs,
-						Member:       degradationDeadMember,
-						RebuildAtMs:  degradationRebuildFrac * durationMs,
-						ChunkSectors: chunk,
-						Depth:        depth,
-					},
-				}, cfg.Seed)
+				plan, err := rebuildPlan(depth)
 				if err != nil {
 					return DegradationRun{}, err
 				}

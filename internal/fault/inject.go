@@ -16,7 +16,8 @@ type ArmFailer interface {
 }
 
 // Rebuilder is the member-failure surface a plan's deaths target;
-// raid.Array satisfies it.
+// raid.Array and raid.Partitioned both satisfy it through the RAID
+// controller they share.
 type Rebuilder interface {
 	FailMember(i int) error
 	Rebuild(dev int, chunkSectors int64, depth int, onDone func(copiedSectors int64)) error

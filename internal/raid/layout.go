@@ -2,6 +2,13 @@
 // used for the paper's MD systems, RAID-0 striping (the paper's §7.3
 // arrays), and — beyond the paper — RAID-1 mirroring and RAID-5 rotating
 // parity with read-modify-write updates.
+//
+// A layout becomes a device in one of two topologies: Array couples the
+// members by direct calls on one event loop; Partitioned puts the
+// controller and each member on its own logical process of a
+// partitioned engine, joined by links with latency. Both embed one
+// controller (plan, degrade, rebuild, counters) and differ only in how
+// a member operation travels.
 package raid
 
 import (

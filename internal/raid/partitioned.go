@@ -6,7 +6,6 @@ import (
 	"repro/internal/bus"
 	"repro/internal/device"
 	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/simkit"
 	"repro/internal/simkit/par"
 	"repro/internal/trace"
@@ -18,7 +17,9 @@ type MemberFunc func(s simkit.Scheduler, i int) (device.Device, error)
 
 // Partitioned is an array whose controller and members live on separate
 // logical processes of a partitioned engine: the controller on LP 0,
-// member i on LP 1+i. Unlike Array, which couples members through
+// member i on LP 1+i. It shares every piece of array logic with Array —
+// planning, degraded-mode rewriting, rebuild, failure state — and
+// differs only in the transport: where Array couples members through
 // zero-latency direct calls (and therefore must share one event loop),
 // the partitioned array moves every controller↔member interaction over
 // an explicit point-to-point link with real latency — the physical
@@ -37,25 +38,23 @@ type MemberFunc func(s simkit.Scheduler, i int) (device.Device, error)
 // A request completes when the last member completion of its last
 // phase arrives back at the controller — array response times include
 // link latency, which is the honest semantics of a distributed
-// controller (the legacy Array's direct-call coupling is the
-// zero-latency limit of the same model).
+// controller (Array's direct-call coupling is the zero-latency limit of
+// the same model).
 //
-// Degraded-mode operation mirrors Array: FailMember takes a member out
-// of service (reads reconstructed from survivors, writes dropped), and
-// Rebuild streams the dead member's contents back over the links —
-// survivor reads and reconstruction writes are ordinary cross-LP
-// sends, so the conservative windows and the (at, src LP, src seq)
-// merge order make a degraded run exactly as deterministic as a
-// healthy one. All failure state lives on the controller LP; fail and
-// rebuild calls must come from controller-LP events (which is where a
-// fault injector bound to Controller() runs).
+// Reconstruction reads and rebuild chunks are ordinary cross-LP sends
+// through the same links, so the conservative windows and the (at, src
+// LP, src seq) merge order make a degraded run exactly as deterministic
+// as a healthy one. All failure and rebuild state lives on the
+// controller LP: Submit, fail and rebuild calls must come from
+// controller-LP events (which is where replay drivers and a fault
+// injector bound to Controller() run).
 type Partitioned struct {
+	controller
+
 	eng         *par.Engine
 	ctrl        *par.LP
-	layout      Layout
 	link        bus.LinkSpec
 	sectorBytes int64
-	members     []device.Device
 
 	// outBusy[i] is the FIFO reservation horizon of the controller→i
 	// link; owned by the controller LP. retBusy[i] is the horizon of
@@ -64,15 +63,6 @@ type Partitioned struct {
 	// execution never races on them.
 	outBusy []float64
 	retBusy []float64
-
-	// failed and reconstructed are controller-LP state, exactly like
-	// Array's: the members never learn they are "failed" — the
-	// controller just stops routing to them and rewrites plans.
-	failed        []bool
-	reconstructed uint64
-
-	submitted uint64
-	completed uint64
 }
 
 var (
@@ -107,16 +97,15 @@ func NewPartitioned(eng *par.Engine, layout Layout, link bus.LinkSpec, sectorByt
 			layout.Name(), n+1, n, eng.NumLPs())
 	}
 	p := &Partitioned{
+		controller:  controller{layout: layout, members: make([]device.Device, n), failed: make([]bool, n)},
 		eng:         eng,
 		ctrl:        eng.LP(0),
-		layout:      layout,
 		link:        link,
 		sectorBytes: sectorBytes,
-		members:     make([]device.Device, n),
 		outBusy:     make([]float64, n),
 		retBusy:     make([]float64, n),
-		failed:      make([]bool, n),
 	}
+	p.issue = p.issueOp
 	for i := 0; i < n; i++ {
 		eng.Link(0, 1+i, link.MinLatencyMs())
 		eng.Link(1+i, 0, link.MinLatencyMs())
@@ -132,124 +121,9 @@ func NewPartitioned(eng *par.Engine, layout Layout, link bus.LinkSpec, sectorByt
 	return p, nil
 }
 
-// Layout returns the array's layout.
-func (p *Partitioned) Layout() Layout { return p.layout }
-
-// CanFailMember reports whether FailMember(i) would currently be
-// accepted, without changing any state — the construction-time
-// preflight fault.NewInjector uses (see Array.CanFailMember).
-func (p *Partitioned) CanFailMember(i int) error { return canFailMember(p.layout, p.failed, i) }
-
-// FailMember takes one member out of service, with Array's exact
-// semantics: future reads touching it are reconstructed from the
-// survivors, future writes to it are dropped, and operations already
-// in flight (including completions crossing the links) finish
-// normally. Must be called from a controller-LP event.
-func (p *Partitioned) FailMember(i int) error {
-	if err := canFailMember(p.layout, p.failed, i); err != nil {
-		return err
-	}
-	p.failed[i] = true
-	return nil
-}
-
-// RepairMember returns a failed member to service (Rebuild does this
-// itself when its sweep completes).
-func (p *Partitioned) RepairMember(i int) error {
-	if i < 0 || i >= len(p.members) {
-		return fmt.Errorf("raid: member %d out of range [0,%d)", i, len(p.members))
-	}
-	if !p.failed[i] {
-		return fmt.Errorf("raid: member %d is not failed", i)
-	}
-	p.failed[i] = false
-	return nil
-}
-
-// Degraded reports whether any member is out of service.
-func (p *Partitioned) Degraded() bool {
-	for _, f := range p.failed {
-		if f {
-			return true
-		}
-	}
-	return false
-}
-
-// Reconstructed reports how many reads were served by reconstruction.
-func (p *Partitioned) Reconstructed() uint64 { return p.reconstructed }
-
-// Capacity reports the array's logical size in sectors.
-func (p *Partitioned) Capacity() int64 { return p.layout.Capacity() }
-
 // Controller returns the controller's logical process — the scheduler
 // replay drivers should attach to (or equivalently eng.Runner(0)).
 func (p *Partitioned) Controller() *par.LP { return p.ctrl }
-
-// Power sums the members' average-power breakdowns, exactly as Array
-// does.
-func (p *Partitioned) Power(elapsedMs float64) power.Breakdown {
-	var b power.Breakdown
-	for _, m := range p.members {
-		b = b.Add(m.Power(elapsedMs))
-	}
-	return b
-}
-
-// Submit expands the request through the layout and issues the member
-// operations phase by phase, each over its member link. Must be called
-// from controller-LP context (an event on LP 0), which is where replay
-// drivers attached to Controller() run.
-func (p *Partitioned) Submit(r trace.Request, done device.Done) {
-	plan, err := p.layout.Plan(r)
-	if err != nil {
-		panic(err)
-	}
-	p.submitted++
-	p.runPhase(plan, 0, 0, done)
-}
-
-// runPhase issues one phase's ops across the member links and chains to
-// the next phase when the last completion arrives back at the
-// controller. Under a member failure the phase is first rewritten with
-// Array's degraded semantics (reconstruction reads, dropped writes).
-// All closure state (outstanding, lastDone) is touched only in
-// controller-LP events.
-func (p *Partitioned) runPhase(plan Plan, phase int, lastDone float64, done device.Done) {
-	if phase >= len(plan.Phases) {
-		p.completed++
-		if done != nil {
-			done(lastDone)
-		}
-		return
-	}
-	ops := plan.Phases[phase]
-	if p.Degraded() {
-		rewritten, rec, err := degradedOps(p.layout, p.failed, ops)
-		if err != nil {
-			panic(err)
-		}
-		p.reconstructed += rec
-		ops = rewritten
-	}
-	if len(ops) == 0 {
-		p.runPhase(plan, phase+1, lastDone, done)
-		return
-	}
-	outstanding := len(ops)
-	for _, op := range ops {
-		op := op
-		p.issueOp(op, func(back float64) {
-			if back > lastDone {
-				lastDone = back
-			}
-			outstanding--
-			if outstanding == 0 {
-				p.runPhase(plan, phase+1, lastDone, done)
-			}
-		})
-	}
-}
 
 // issueOp moves one member operation over the links: it reserves the
 // outbound link, delivers the command (and a write's payload) to the
@@ -305,31 +179,11 @@ func (p *Partitioned) reserveReturn(op Op, at float64) float64 {
 }
 
 // Snapshot reports the array's request counters with every instrumented
-// member rolled up as a child, in member order — the same shape Array
-// produces, so rendering and diffing tools treat both alike.
+// member rolled up as a child, in member order — the shape Array
+// produces, plus the engine's sync-window counters.
 func (p *Partitioned) Snapshot() obs.Snapshot {
-	s := obs.Snapshot{
-		Device:    p.layout.Name() + "-partitioned",
-		Kind:      "raid",
-		Submitted: p.submitted,
-		Completed: p.completed,
-		Counters: map[string]uint64{
-			"windows":       p.eng.Windows(),
-			"busy_lps":      p.eng.BusyLPs(),
-			"reconstructed": p.reconstructed,
-		},
-		Gauges:     map[string]obs.GaugeValue{},
-		Histograms: map[string]obs.Histogram{},
-	}
-	failed := uint64(0)
-	for i, m := range p.members {
-		if p.failed[i] {
-			failed++
-		}
-		if in, ok := m.(device.Instrumented); ok {
-			s.Children = append(s.Children, in.Snapshot())
-		}
-	}
-	s.Counters["failed_members"] = failed
+	s := p.snapshot(p.layout.Name() + "-partitioned")
+	s.Counters["windows"] = p.eng.Windows()
+	s.Counters["busy_lps"] = p.eng.BusyLPs()
 	return s
 }

@@ -5,10 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bus"
-	"repro/internal/device"
 	"repro/internal/obs"
-	"repro/internal/simkit"
 	"repro/internal/simkit/par"
 )
 
@@ -21,13 +18,7 @@ func buildPartitionedR5(t *testing.T, members, workers int) (*par.Engine, *Parti
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe := par.New(members+1, par.Options{Workers: workers})
-	p, err := NewPartitioned(pe, layout, bus.DefaultLink(), 512, func(s simkit.Scheduler, i int) (device.Device, error) {
-		return &fakeMember{s: s, capacity: memberSectors}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pe, p, _ := partitionedOver(t, layout, memberSectors, workers)
 	return pe, p
 }
 
@@ -193,6 +184,12 @@ func TestPartitionedDegradedRandomDeathIdentity(t *testing.T) {
 			})
 			tr := partTrace(int64(77+trial), 400, p.Capacity())
 			resp = replayPartitioned(pe, p, tr)
+			// Requests conserved: every accepted request finished,
+			// through death, degraded service and rebuild.
+			if p.Submitted() != uint64(len(tr)) || p.Completed() != p.Submitted() {
+				t.Fatalf("trial %d, %d workers: submitted %d, completed %d of %d requests",
+					trial, workers, p.Submitted(), p.Completed(), len(tr))
+			}
 			js, err := obs.MarshalSnapshot(p.Snapshot())
 			if err != nil {
 				t.Fatal(err)

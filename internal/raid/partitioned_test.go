@@ -17,10 +17,11 @@ import (
 // fakeMember is a deterministic member device built on a Scheduler (one
 // LP of a partitioned engine): service time depends on the op, so the
 // member timelines are irregular enough to exercise window overlap.
+// ops records every request it served, on its own LP.
 type fakeMember struct {
 	s        simkit.Scheduler
 	capacity int64
-	served   uint64
+	ops      []trace.Request
 }
 
 var _ device.Device = (*fakeMember)(nil)
@@ -29,7 +30,7 @@ func (f *fakeMember) Submit(r trace.Request, done device.Done) {
 	if r.End() > f.capacity {
 		panic("fakeMember: out of range")
 	}
-	f.served++
+	f.ops = append(f.ops, r)
 	lat := 2.0 + float64(r.LBA%17)*0.25 + float64(r.Sectors)*0.05
 	f.s.After(lat, func() {
 		if done != nil {
@@ -73,14 +74,25 @@ func buildPartitioned(t *testing.T, members, workers int) (*par.Engine, *Partiti
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe := par.New(members+1, par.Options{Workers: workers})
+	pe, p, _ := partitionedOver(t, layout, memberSectors, workers)
+	return pe, p
+}
+
+// partitionedOver assembles a partitioned array for any layout over
+// fake members of the given size and returns the members too, so tests
+// can inspect the ops each one served.
+func partitionedOver(t *testing.T, layout Layout, memberSectors int64, workers int) (*par.Engine, *Partitioned, []*fakeMember) {
+	t.Helper()
+	fakes := make([]*fakeMember, layout.Members())
+	pe := par.New(layout.Members()+1, par.Options{Workers: workers})
 	p, err := NewPartitioned(pe, layout, bus.DefaultLink(), 512, func(s simkit.Scheduler, i int) (device.Device, error) {
-		return &fakeMember{s: s, capacity: memberSectors}, nil
+		fakes[i] = &fakeMember{s: s, capacity: memberSectors}
+		return fakes[i], nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pe, p
+	return pe, p, fakes
 }
 
 // replayPartitioned submits the trace on the controller LP and returns

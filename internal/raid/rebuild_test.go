@@ -3,6 +3,7 @@ package raid
 import (
 	"testing"
 
+	"repro/internal/simkit"
 	"repro/internal/trace"
 )
 
@@ -21,59 +22,100 @@ func TestMemberExtents(t *testing.T) {
 	}
 }
 
+// rebuildTarget is the failure surface the shared controller gives
+// both array topologies.
+type rebuildTarget interface {
+	FailMember(i int) error
+	Rebuild(dev int, chunkSectors int64, depth int, onDone func(copiedSectors int64)) error
+	Degraded() bool
+}
+
+// transports builds the same layout behind each op transport — direct
+// calls on one event loop and links between logical processes — and
+// returns the array, the runner of the controller's timeline, and the
+// ops each member served. The controller logic is one copy; these
+// tables check it behaves the same behind either.
+var transports = []struct {
+	name  string
+	build func(t *testing.T, layout Layout) (rebuildTarget, simkit.Runner, func(member int) []trace.Request)
+}{
+	{"array", func(t *testing.T, layout Layout) (rebuildTarget, simkit.Runner, func(int) []trace.Request) {
+		eng, a, disks := fakeArray(t, layout, nil)
+		return a, eng, func(i int) []trace.Request { return disks[i].ops }
+	}},
+	{"partitioned", func(t *testing.T, layout Layout) (rebuildTarget, simkit.Runner, func(int) []trace.Request) {
+		pe, p, fakes := partitionedOver(t, layout, 1<<16, 1)
+		return p, pe.Runner(0), func(i int) []trace.Request { return fakes[i].ops }
+	}},
+}
+
 func TestRebuildValidation(t *testing.T) {
-	r5, _ := NewRAID5(4, 1000, 10)
-	_, a, _ := fakeArray(t, r5, nil)
-	if err := a.Rebuild(0, 100, 1, nil); err == nil {
-		t.Fatalf("rebuild of healthy member accepted")
-	}
-	if err := a.FailMember(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Rebuild(-1, 100, 1, nil); err == nil {
-		t.Fatalf("negative member accepted")
-	}
-	if err := a.Rebuild(0, 0, 1, nil); err == nil {
-		t.Fatalf("zero chunk accepted")
-	}
-	if err := a.Rebuild(0, 100, 0, nil); err == nil {
-		t.Fatalf("zero depth accepted")
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			r5, _ := NewRAID5(4, 1000, 10)
+			a, _, _ := tr.build(t, r5)
+			if err := a.Rebuild(0, 100, 1, nil); err == nil {
+				t.Fatalf("rebuild of healthy member accepted")
+			}
+			if err := a.FailMember(0); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Rebuild(-1, 100, 1, nil); err == nil {
+				t.Fatalf("negative member accepted")
+			}
+			if err := a.Rebuild(4, 100, 1, nil); err == nil {
+				t.Fatalf("out-of-range member accepted")
+			}
+			if err := a.Rebuild(0, 0, 1, nil); err == nil {
+				t.Fatalf("zero chunk accepted")
+			}
+			if err := a.Rebuild(0, 100, 0, nil); err == nil {
+				t.Fatalf("zero depth accepted")
+			}
+			if !a.Degraded() {
+				t.Fatalf("a refused rebuild returned the member to service")
+			}
+		})
 	}
 }
 
 func TestRebuildCopiesFullExtentAndRestores(t *testing.T) {
-	r5, _ := NewRAID5(4, 1000, 10)
-	eng, a, disks := fakeArray(t, r5, nil)
-	if err := a.FailMember(1); err != nil {
-		t.Fatal(err)
-	}
-	var copied int64
-	eng.At(0, func() {
-		if err := a.Rebuild(1, 100, 2, func(n int64) { copied = n }); err != nil {
-			t.Errorf("Rebuild: %v", err)
-		}
-	})
-	eng.Run()
-	if copied != 1000 {
-		t.Fatalf("copied %d sectors, want the full 1000-sector extent", copied)
-	}
-	if a.Degraded() {
-		t.Fatalf("array still degraded after rebuild")
-	}
-	// 10 chunks: each chunk writes once to the replacement and reads once
-	// from each of the three survivors.
-	writes := 0
-	for _, op := range disks[1].ops {
-		if !op.Read {
-			writes++
-		}
-	}
-	if writes != 10 {
-		t.Fatalf("replacement received %d writes, want 10", writes)
-	}
-	survivorReads := len(disks[0].ops) + len(disks[2].ops) + len(disks[3].ops)
-	if survivorReads != 30 {
-		t.Fatalf("survivors serviced %d reads, want 30", survivorReads)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			r5, _ := NewRAID5(4, 1000, 10)
+			a, eng, ops := tr.build(t, r5)
+			if err := a.FailMember(1); err != nil {
+				t.Fatal(err)
+			}
+			var copied int64
+			eng.At(0, func() {
+				if err := a.Rebuild(1, 100, 2, func(n int64) { copied = n }); err != nil {
+					t.Errorf("Rebuild: %v", err)
+				}
+			})
+			eng.Run()
+			if copied != 1000 {
+				t.Fatalf("copied %d sectors, want the full 1000-sector extent", copied)
+			}
+			if a.Degraded() {
+				t.Fatalf("array still degraded after rebuild")
+			}
+			// 10 chunks: each chunk writes once to the replacement and
+			// reads once from each of the three survivors.
+			writes := 0
+			for _, op := range ops(1) {
+				if !op.Read {
+					writes++
+				}
+			}
+			if writes != 10 {
+				t.Fatalf("replacement received %d writes, want 10", writes)
+			}
+			survivorReads := len(ops(0)) + len(ops(2)) + len(ops(3))
+			if survivorReads != 30 {
+				t.Fatalf("survivors serviced %d reads, want 30", survivorReads)
+			}
+		})
 	}
 }
 
@@ -134,66 +176,76 @@ func (s *stubLayout) Reconstruct(Op, int) ([]Op, error) {
 // stuck forever — the issue loop exited without inflight I/O, so
 // finish() never ran, onDone never fired, and the member stayed failed.
 func TestRebuildZeroExtentCompletesImmediately(t *testing.T) {
-	lay := &stubLayout{members: 2, extent: 0}
-	eng, a, disks := fakeArray(t, lay, nil)
-	if err := a.FailMember(0); err != nil {
-		t.Fatal(err)
-	}
-	copied := int64(-1)
-	if err := a.Rebuild(0, 100, 2, func(n int64) { copied = n }); err != nil {
-		t.Fatalf("Rebuild: %v", err)
-	}
-	eng.Run()
-	if copied != 0 {
-		t.Fatalf("onDone reported %d copied sectors, want 0 (and -1 means it never fired)", copied)
-	}
-	if a.Degraded() {
-		t.Fatalf("member still failed after the trivial sweep")
-	}
-	for i, d := range disks {
-		if len(d.ops) != 0 {
-			t.Fatalf("member %d received %d ops rebuilding an empty extent", i, len(d.ops))
-		}
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			lay := &stubLayout{members: 2, extent: 0}
+			a, eng, ops := tr.build(t, lay)
+			if err := a.FailMember(0); err != nil {
+				t.Fatal(err)
+			}
+			copied := int64(-1)
+			if err := a.Rebuild(0, 100, 2, func(n int64) { copied = n }); err != nil {
+				t.Fatalf("Rebuild: %v", err)
+			}
+			eng.Run()
+			if copied != 0 {
+				t.Fatalf("onDone reported %d copied sectors, want 0 (and -1 means it never fired)", copied)
+			}
+			if a.Degraded() {
+				t.Fatalf("member still failed after the trivial sweep")
+			}
+			for i := 0; i < lay.members; i++ {
+				if n := len(ops(i)); n != 0 {
+					t.Fatalf("member %d received %d ops rebuilding an empty extent", i, n)
+				}
+			}
+		})
 	}
 }
 
 // Regression: a layout whose Reconstruct needs no survivor reads used to
 // strand every chunk — nothing ever completed to decrement inflight, so
-// the sweep hung with the member failed and onDone unreached.
+// the sweep hung with the member failed and onDone unreached. Behind
+// the partitioned transport each chunk's write goes straight over the
+// replacement's link.
 func TestRebuildCompletesWhenReconstructNeedsNoReads(t *testing.T) {
-	lay := &stubLayout{members: 2, extent: 400}
-	eng, a, disks := fakeArray(t, lay, nil)
-	if err := a.FailMember(1); err != nil {
-		t.Fatal(err)
-	}
-	var copied int64
-	doneAt := -1.0
-	eng.At(0, func() {
-		if err := a.Rebuild(1, 100, 2, func(n int64) { copied, doneAt = n, eng.Now() }); err != nil {
-			t.Errorf("Rebuild: %v", err)
-		}
-	})
-	eng.Run()
-	if doneAt < 0 {
-		t.Fatalf("rebuild never finished")
-	}
-	if copied != 400 {
-		t.Fatalf("copied %d sectors, want the full 400-sector extent", copied)
-	}
-	if a.Degraded() {
-		t.Fatalf("member still failed after rebuild")
-	}
-	if got := len(disks[0].ops); got != 0 {
-		t.Fatalf("survivor serviced %d reads, want 0 from a derive-only layout", got)
-	}
-	writes := 0
-	for _, op := range disks[1].ops {
-		if !op.Read {
-			writes++
-		}
-	}
-	if writes != 4 {
-		t.Fatalf("replacement received %d writes, want 4 chunks", writes)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			lay := &stubLayout{members: 2, extent: 400}
+			a, eng, ops := tr.build(t, lay)
+			if err := a.FailMember(1); err != nil {
+				t.Fatal(err)
+			}
+			var copied int64
+			doneAt := -1.0
+			eng.At(0, func() {
+				if err := a.Rebuild(1, 100, 2, func(n int64) { copied, doneAt = n, eng.Now() }); err != nil {
+					t.Errorf("Rebuild: %v", err)
+				}
+			})
+			eng.Run()
+			if doneAt <= 0 {
+				t.Fatalf("rebuild never finished (done at %g)", doneAt)
+			}
+			if copied != 400 {
+				t.Fatalf("copied %d sectors, want the full 400-sector extent", copied)
+			}
+			if a.Degraded() {
+				t.Fatalf("member still failed after rebuild")
+			}
+			if got := len(ops(0)); got != 0 {
+				t.Fatalf("survivor serviced %d reads, want 0 from a derive-only layout", got)
+			}
+			writes := 0
+			for _, op := range ops(1) {
+				if !op.Read {
+					writes++
+				}
+			}
+			if writes != 4 {
+				t.Fatalf("replacement received %d writes, want 4 chunks", writes)
+			}
+		})
 	}
 }
 

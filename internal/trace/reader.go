@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 )
@@ -188,6 +189,12 @@ func (rd *Reader) Next() (Request, bool) {
 			rd.base = p.r.ArrivalMs
 		}
 		p.r.ArrivalMs -= rd.base
+		if math.IsInf(p.r.ArrivalMs, 0) {
+			rd.err = fmt.Errorf("trace: %s: line %d: arrival overflows once rebased to the first request",
+				rd.Format(), p.line)
+			rd.done = true
+			return Request{}, false
+		}
 	}
 
 	// Enforce non-decreasing arrivals at the ingestion boundary: a
@@ -250,15 +257,21 @@ func (rd *Reader) scanOne() (Request, int, bool) {
 }
 
 // validateShape checks every Request field except the arrival sign,
-// which the Reader judges after reordering and rebasing.
+// which the Reader judges after reordering and rebasing. A NaN or
+// infinite arrival ("NaN" and "Inf" parse as floats) is refused here,
+// before it can enter the reorder heap or defeat the ordering check.
 func validateShape(r Request) error {
 	switch {
+	case math.IsNaN(r.ArrivalMs) || math.IsInf(r.ArrivalMs, 0):
+		return fmt.Errorf("non-finite arrival %v", r.ArrivalMs)
 	case r.Disk < 0:
 		return fmt.Errorf("negative disk %d", r.Disk)
 	case r.LBA < 0:
 		return fmt.Errorf("negative lba %d", r.LBA)
 	case r.Sectors <= 0:
 		return fmt.Errorf("non-positive length %d", r.Sectors)
+	case r.LBA > math.MaxInt64-int64(r.Sectors):
+		return fmt.Errorf("lba %d + length %d overflows", r.LBA, r.Sectors)
 	}
 	return nil
 }

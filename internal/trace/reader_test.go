@@ -145,6 +145,10 @@ func TestReaderMalformedLines(t *testing.T) {
 		{"spc-size", NewSPCReader(strings.NewReader("0,0,4096,r,0.0\n0,0,-1,r,0.1\n"), ReaderOpts{})},
 		{"msr-fields", NewMSRReader(strings.NewReader("100,h,0,Read,0,512,1\n101,h,0,Read\n"), ReaderOpts{})},
 		{"msr-type", NewMSRReader(strings.NewReader("100,h,0,Read,0,512,1\n101,h,0,Trim,0,512,1\n"), ReaderOpts{})},
+		{"native-nan-arrival", NewNativeReader(strings.NewReader("0.0 0 0 8 R\nNaN 0 0 8 R\n1.0 0 0 8 R\n"), ReaderOpts{})},
+		{"native-inf-arrival", NewNativeReader(strings.NewReader("0.0 0 0 8 R\nInf 0 0 8 R\n"), ReaderOpts{})},
+		{"native-lba-overflow", NewNativeReader(strings.NewReader("0.0 0 0 8 R\n0.1 0 9223372036854775800 8 R\n"), ReaderOpts{})},
+		{"spc-rebase-overflow", NewSPCReader(strings.NewReader("0,0,4096,r,-1.7e305\n0,0,4096,r,1.7e305\n"), ReaderOpts{})},
 		{"blkparse-count", NewBlkparseReader(strings.NewReader("8,0 1 1 0.0 9 Q R 10 + 8 [a]\n8,0 1 2 0.1 9 Q R 10 + x [a]\n"), ReaderOpts{})},
 	}
 	for _, c := range cases {
@@ -500,4 +504,56 @@ func BenchmarkBlkparseReader(b *testing.B) {
 			return fmt.Sprintf("8,0 1 %d %d.%09d 42 Q R %d + 8 [fio]\n", i, i/1000, (i%1000)*1000000, i*8)
 		},
 		func(r *strings.Reader) *Reader { return NewBlkparseReader(r, ReaderOpts{}) })
+}
+
+// FuzzOpen drives the ingestion front door with arbitrary bytes, seeded
+// from the vendored fixtures of every format: Open and the Reader it
+// returns must never panic, every request the stream yields must be
+// well formed (disk and LBA non-negative, length positive, extent
+// within int64, arrival finite and no earlier than the previous one),
+// and every error, from the sniffer or the stream, must carry the
+// "trace: " prefix.
+func FuzzOpen(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "*"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no seed fixtures: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, uint8(0))
+		f.Add(data, uint8(3))
+	}
+	// Floats and extents strconv accepts but the simulator cannot use.
+	f.Add([]byte("0 0 0 8 R\nNaN 0 0 8 R\n1 0 0 8 R\n"), uint8(0))
+	f.Add([]byte("ASU,LBA,Size,Opcode,Timestamp\n0,0,4096,R,-1.7e305\n0,0,4096,R,1.7e305\n"), uint8(1))
+	f.Add([]byte("0 0 9223372036854775800 8 W\n"), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, window uint8) {
+		rd, err := Open(bytes.NewReader(data), ReaderOpts{ReorderWindow: int(window % 8)})
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "trace: ") {
+				t.Fatalf("Open error %q lacks the trace: prefix", err)
+			}
+			return
+		}
+		prev := 0.0
+		for {
+			r, ok := rd.Next()
+			if !ok {
+				break
+			}
+			if r.Disk < 0 || r.LBA < 0 || r.Sectors <= 0 || r.End() <= r.LBA {
+				t.Fatalf("%s line %d: malformed request %+v", rd.Format(), rd.Line(), r)
+			}
+			if math.IsInf(r.ArrivalMs, 0) || !(r.ArrivalMs >= prev) {
+				t.Fatalf("%s line %d: arrival %v after %v", rd.Format(), rd.Line(), r.ArrivalMs, prev)
+			}
+			prev = r.ArrivalMs
+		}
+		if err := rd.Err(); err != nil && !strings.HasPrefix(err.Error(), "trace: ") {
+			t.Fatalf("stream error %q lacks the trace: prefix", err)
+		}
+	})
 }
