@@ -61,7 +61,7 @@ func TestTraceDecomposition(t *testing.T) {
 
 // TestSnapshotConsistency pins the uniform stats surface (the drive's
 // only metrics API since the per-getter surface was removed) to the
-// replayed trace and the richer DriveStats view.
+// replayed trace and the richer Stats view.
 func TestSnapshotConsistency(t *testing.T) {
 	eng, d := newSA(t, 4)
 	tr := randomTrace(22, 400, 1.5, d.Capacity())

@@ -1,8 +1,10 @@
-// Package disk implements a conventional (single-actuator) hard disk
-// drive at DiskSim's level of detail: zoned geometry, a fitted seek
-// curve, a continuously rotating spindle, an on-board segmented cache,
-// queue scheduling, and per-mode power accounting. It also carries the
-// named drive models the paper's experiments use.
+// Package disk implements the hard disk drive at DiskSim's level of
+// detail: zoned geometry, a fitted seek curve, a continuously rotating
+// spindle, an on-board segmented cache, queue scheduling, and per-mode
+// power accounting. One Drive serves every arm count: a conventional
+// drive (New) is the one-arm point of the intra-disk parallel family
+// that NewParallel (and package core) builds. The package also carries
+// the named drive models the paper's experiments use.
 package disk
 
 import (

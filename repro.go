@@ -165,7 +165,9 @@ var (
 	Drive7200x36GB = disk.Drive7200x36GB
 )
 
-// Drive is a conventional single-actuator disk drive.
+// Drive is a disk drive with n independently positioned arm
+// assemblies. NewDrive builds the conventional one-arm drive;
+// NewParallelDrive and NewSADrive build the same type with more arms.
 type Drive = disk.Drive
 
 // DriveOptions tunes a conventional drive.
@@ -193,7 +195,8 @@ func ParseDASH(s string) (DASH, error) { return core.ParseDASH(s) }
 // family: D1·An·S1·H1.
 func SATaxonomy(n int) DASH { return core.SA(n) }
 
-// ParallelDrive is an intra-disk parallel (multi-actuator) drive.
+// ParallelDrive is an intra-disk parallel (multi-actuator) drive: the
+// same type as Drive, which a conventional drive is the one-arm point of.
 type ParallelDrive = core.ParallelDrive
 
 // ParallelConfig configures a parallel drive, including the relaxed
