@@ -129,3 +129,48 @@ func TestRequestInsideSparePoolPanics(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// TestBackgroundFragmentsStayBackground checks that a background request
+// split around a remapped sector waits on the background queue, so it
+// never delays foreground work, and counts once as a background
+// completion.
+func TestBackgroundFragmentsStayBackground(t *testing.T) {
+	eng, d, tab := defectDrive(t)
+	if err := tab.Grow(50004); err != nil {
+		t.Fatal(err)
+	}
+	exts, err := tab.Split(50000, 8)
+	if err != nil || len(exts) < 2 {
+		t.Fatalf("Split = %v, %v; want several extents", exts, err)
+	}
+	var fgDone, bgDone float64
+	bgCalls := 0
+	eng.At(0, func() {
+		// The first foreground request occupies the arm, so everything
+		// submitted after it queues.
+		d.Submit(trace.Request{LBA: 900000, Sectors: 8, Read: true}, nil)
+		d.SubmitBackground(trace.Request{LBA: 50000, Sectors: 8, Read: true},
+			func(at float64) { bgDone = at; bgCalls++ })
+		d.Submit(trace.Request{LBA: 50100, Sectors: 8, Read: true},
+			func(at float64) { fgDone = at })
+		if got := d.BackgroundPending(); got != len(exts) {
+			t.Errorf("BackgroundPending = %d, want the %d extents", got, len(exts))
+		}
+		if got := d.Snapshot().Queue.Len; got != 1 {
+			t.Errorf("foreground queue length = %d, want 1", got)
+		}
+	})
+	eng.Run()
+	if bgCalls != 1 {
+		t.Fatalf("background done called %d times, want 1", bgCalls)
+	}
+	if fgDone <= 0 || fgDone >= bgDone {
+		t.Fatalf("queued foreground request finished at %v, background at %v", fgDone, bgDone)
+	}
+	if got := d.BackgroundCompleted(); got != 1 {
+		t.Fatalf("BackgroundCompleted = %d, want 1", got)
+	}
+	if got := d.Stats().Completed; got != 2 {
+		t.Fatalf("Completed = %d, want the 2 foreground requests", got)
+	}
+}
